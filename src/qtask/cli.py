@@ -18,34 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from .qir import (
-    QirLoweringError,
-    QirParseError,
-    find_kernel_file,
-    lower_to_circuit,
-    output_positions,
-    parse_qir,
-)
+from .qir import QirLoweringError, QirParseError, find_kernel_file
 from .qpd import validate_run, write_validation_csv
-from .runtime import (
-    GraphSpecError,
-    HostDevice,
-    QpuDevice,
-    Runtime,
-    TaskState,
-    parse_graph_spec,
-)
-from .simulator import (
-    ProbDist,
-    ShotHistogram,
-    format_histogram,
-    format_probabilities,
-    marginalize,
-    marginalize_counts,
-    run_trajectory,
-    sample_shots,
-    simulate,
-)
+from .runtime import GraphSpecError, TaskState, make_runtime, parse_graph_spec, run_qir
+from .simulator import ProbDist, ShotHistogram, format_histogram, format_probabilities
 
 ACCELERATORS = ("statevector", "trajectory")
 
@@ -98,29 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_exec(args) -> int:
+    if args.probs and args.accelerator != "statevector":
+        print("error: --probs requires the statevector accelerator", file=sys.stderr)
+        return 2
     text = find_kernel_file(args.file).read_text()
-    prog = parse_qir(text)
-    circuit = lower_to_circuit(prog)
-    positions = output_positions(prog)
-
-    if args.accelerator == "statevector":
-        _, dist = simulate(circuit)
-        if positions is not None:
-            dist = marginalize(dist, positions)
-        if args.probs:
-            print(format_probabilities(dist))
-            return 0
-        hist = sample_shots(dist, args.shots, args.seed)
-    else:
-        hist = run_trajectory(circuit, args.shots, args.seed)
-        if positions is not None:
-            hist = marginalize_counts(hist, positions)
-        if args.probs:
-            print("error: --probs requires the statevector accelerator", file=sys.stderr)
-            return 2
+    result = run_qir(text, None if args.probs else args.shots, args.seed, args.accelerator)
+    if args.probs:
+        print(format_probabilities(result))
+        return 0
     if args.shots == 0:
         print("note: 0 shots requested; use --probs for the exact distribution", file=sys.stderr)
-    print(format_histogram(hist))
+    print(format_histogram(result))
     return 0
 
 
@@ -150,14 +114,7 @@ def cmd_graph(args) -> int:
     ).static_order()
     by_name = {t.name: t for t in spec.tasks}
 
-    runtime = Runtime()
-    next_id = 0
-    for _ in range(spec.qpu):
-        runtime.register_device(QpuDevice(next_id))
-        next_id += 1
-    for _ in range(spec.host):
-        runtime.register_device(HostDevice(next_id))
-        next_id += 1
+    runtime = make_runtime(qpu=spec.qpu, host=spec.host)
     runtime.register_host_kernel("noop", lambda params, deps: None)
 
     try:

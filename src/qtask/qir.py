@@ -272,21 +272,8 @@ def output_positions(prog: QirProgram) -> list[int] | None:
     return positions
 
 
-_KIND_TO_INTRINSIC = {
-    GateKind.H: "h",
-    GateKind.X: "x",
-    GateKind.Y: "y",
-    GateKind.Z: "z",
-    GateKind.S: "s",
-    GateKind.SDG: "s__adj",
-    GateKind.T: "t",
-    GateKind.TDG: "t__adj",
-    GateKind.RX: "rx",
-    GateKind.RY: "ry",
-    GateKind.RZ: "rz",
-    GateKind.CNOT: "cnot",
-    GateKind.CZ: "cz",
-}
+# reversed, so the first intrinsic listed for a kind wins (CNOT emits cnot, not cx)
+_KIND_TO_INTRINSIC = {kind: short for short, (kind, _, _) in reversed(_GATE_INTRINSICS.items())}
 
 
 def _qubit_operand(q: int) -> str:

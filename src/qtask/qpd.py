@@ -275,7 +275,7 @@ def _parity_sign(bits: Sequence[int]) -> int:
     return out
 
 
-def _prob_items(dist, mode: str):
+def _prob_items(dist):
     if isinstance(dist, ShotHistogram):
         if dist.shots == 0:
             raise ValueError("histogram has zero shots; cannot form frequencies")
@@ -287,10 +287,10 @@ def _prob_items(dist, mode: str):
     raise TypeError(f"not a distribution: {dist!r}")
 
 
-def _moment_y_obs(dist, measured_obs: bool, mode: str) -> float:
+def _moment_y_obs(dist, measured_obs: bool) -> float:
     """Sum of P(key) * (2*y-1) * eigenvalue(o); o fixed +1 for identity."""
     total = 0.0
-    for key, p in _prob_items(dist, mode):
+    for key, p in _prob_items(dist):
         w = 2 * int(key[0]) - 1
         if measured_obs:
             w *= eigenvalue(int(key[1]))
@@ -298,9 +298,9 @@ def _moment_y_obs(dist, measured_obs: bool, mode: str) -> float:
     return total
 
 
-def _moment_yy(dist, mode: str) -> float:
+def _moment_yy(dist) -> float:
     total = 0.0
-    for key, p in _prob_items(dist, mode):
+    for key, p in _prob_items(dist):
         total += p * (2 * int(key[0]) - 1) * (2 * int(key[1]) - 1)
     return total
 
@@ -346,13 +346,13 @@ def estimate_zzzz(
     for k, s in sorted(expected, key=lambda p: (p[0], p[1] or 0)):
         tk = decomp.term(k)
         res = results[(k, s)]
-        m1 = _moment_y_obs(res.p1, tk.observable is not Pauli.I, mode)
+        m1 = _moment_y_obs(res.p1, tk.observable is not Pauli.I)
         if s is None:
-            value += tk.coefficient * m1 * _moment_yy(res.p2, mode)
+            value += tk.coefficient * m1 * _moment_yy(res.p2)
             continue
         ts = decomp.term(s)
-        m2 = _moment_y_obs(res.p2, ts.observable is not Pauli.I, mode)
-        m3 = _moment_yy(res.p3, mode)
+        m2 = _moment_y_obs(res.p2, ts.observable is not Pauli.I)
+        m3 = _moment_yy(res.p3)
         value += tk.coefficient * ts.coefficient * m1 * m2 * m3
 
     shots = None
@@ -483,8 +483,8 @@ def importance_sampled_estimate(
         counts = rng.multinomial(shots, p / p.sum())
         emp = {k: c / shots for k, c in zip(keys, counts) if c}
         if kind == "yy":
-            return _moment_yy(emp, "sampled")
-        return _moment_y_obs(emp, measured_obs, "sampled")
+            return _moment_yy(emp)
+        return _moment_y_obs(emp, measured_obs)
 
     total = 0.0
     for _ in range(n_samples):
@@ -506,7 +506,6 @@ def validate_run(
     devices: int = 4,
     mode: str = "sampled",
     dedup: bool = True,
-    policy: str = "roundrobin",
 ) -> QpdEstimate:
     """Run the full two-cut graph ``reps`` times and report mean and std.
 
@@ -532,7 +531,7 @@ def validate_run(
                 seed=derive_seed(seed, "rep", rep),
                 dedup=dedup,
             )
-            handle = runtime.submit(graph, policy=policy, sync=True)
+            handle = runtime.submit(graph, policy="roundrobin", sync=True)
             results = runtime.wait(handle)
             reduce_res = results[graph.task_id_by_name(REDUCE_TASK)]
             if reduce_res.status is not rt.TaskState.COMPLETED:

@@ -28,10 +28,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .circuit import Circuit, Gate
+from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import find_kernel_file, lower_to_circuit, output_positions, parse_qir
 from .seeding import derive_seed
-from .simulator import ProbDist, ShotHistogram, marginalize, sample_shots, simulate
+from .simulator import (
+    ProbDist,
+    ShotHistogram,
+    marginalize,
+    marginalize_counts,
+    run_trajectory,
+    sample_shots,
+    simulate,
+)
 
 ANY = "any"
 HOST = "host"
@@ -52,6 +60,7 @@ _SHUTDOWN = object()
 class HostKernel:
     """Registered host callback, invoked as fn(params, dep_payloads)."""
 
+    device_class = HOST
     name: str
     params: tuple = ()
 
@@ -60,6 +69,7 @@ class HostKernel:
 class QirKernel:
     """QIR program given as inline text or a .ll path; sampled unless shots=0."""
 
+    device_class = QPU
     source: str | None = None
     path: str | Path | None = None
     shots: int = 1024
@@ -74,6 +84,7 @@ class QirKernel:
 
 @dataclass(frozen=True)
 class CircuitKernel:
+    device_class = QPU
     circuit: Circuit
     shots: int = 1024
     seed: int | None = None
@@ -88,9 +99,10 @@ class CircuitKernel:
 
 @dataclass(frozen=True)
 class NamedKernel:
-    """Late-bound kernel: resolved at dispatch time. Names ending in .ll
-    become QIR kernels and require a qpu-class device; anything else binds
-    to a registered host kernel."""
+    """Kernel given by name, resolved by ``TaskGraph.create_task``: names
+    ending in .ll become a QirKernel on that path (read at dispatch, needing
+    a qpu-class device); anything else becomes a HostKernel, looked up in the
+    registry at dispatch."""
 
     name: str
     shots: int = 1024
@@ -99,23 +111,6 @@ class NamedKernel:
 
 
 KernelSpec = HostKernel | QirKernel | CircuitKernel | NamedKernel
-
-
-def resolve_kernel(kernel: KernelSpec) -> HostKernel | QirKernel | CircuitKernel:
-    """Late binding: performed only when a device is about to execute."""
-    if isinstance(kernel, NamedKernel):
-        if kernel.name.endswith(".ll"):
-            return QirKernel(path=kernel.name, shots=kernel.shots, seed=kernel.seed)
-        return HostKernel(kernel.name, kernel.params)
-    return kernel
-
-
-def kernel_class_requirement(kernel: KernelSpec) -> str:
-    if isinstance(kernel, (QirKernel, CircuitKernel)):
-        return QPU
-    if isinstance(kernel, HostKernel):
-        return HOST
-    return QPU if kernel.name.endswith(".ll") else HOST
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +196,12 @@ class TaskGraph:
             raise ValueError(f"duplicate task name {name!r}")
         if isinstance(kernel, str):
             kernel = NamedKernel(kernel)
-        if not isinstance(kernel, (HostKernel, QirKernel, CircuitKernel, NamedKernel)):
+        if isinstance(kernel, NamedKernel):
+            if kernel.name.endswith(".ll"):
+                kernel = QirKernel(path=kernel.name, shots=kernel.shots, seed=kernel.seed)
+            else:
+                kernel = HostKernel(kernel.name, kernel.params)
+        if not isinstance(kernel, (HostKernel, QirKernel, CircuitKernel)):
             raise ValueError(f"not a kernel spec: {kernel!r}")
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):
             raise ValueError(f"invalid device requirement {device_req!r}")
@@ -317,7 +317,6 @@ class DeviceBackend:
     """In-process device worker: single queue, one task at a time."""
 
     device_class = ""
-    supported_kinds: tuple = ()
 
     def __init__(self, device_id: int):
         self.id = device_id
@@ -351,50 +350,53 @@ class DeviceBackend:
         raise NotImplementedError
 
 
-def _task_seed(spec, graph: TaskGraph, task: Task) -> int:
-    return spec.seed if spec.seed is not None else graph.derived_seed(task)
+def run_qir(
+    text: str, shots: int | None, seed: int, accelerator: str = "statevector"
+) -> ProbDist | ShotHistogram:
+    """Execute a QIR program: parse, lower, then simulate or run trajectories.
+
+    Returns the exact distribution when ``shots`` is None (statevector only)
+    and a histogram sampled from ``seed`` otherwise; keys follow the
+    program's result-recording order.
+    """
+    if accelerator not in ("statevector", "trajectory"):
+        raise ValueError(f"unknown accelerator {accelerator!r}")
+    if shots is None and accelerator != "statevector":
+        raise ValueError("the exact distribution requires the statevector accelerator")
+    prog = parse_qir(text)
+    circuit = lower_to_circuit(prog)
+    positions = output_positions(prog)
+    if accelerator == "trajectory":
+        hist = run_trajectory(circuit, shots, seed)
+        return hist if positions is None else marginalize_counts(hist, positions)
+    _, dist = simulate(circuit)
+    if positions is not None:
+        dist = marginalize(dist, positions)
+    return dist if shots is None else sample_shots(dist, shots, seed)
 
 
 class QpuDevice(DeviceBackend):
     """Simulated QPU: executes QIR and circuit kernels on a statevector."""
 
     device_class = QPU
-    supported_kinds = (QirKernel, CircuitKernel)
 
     def run_kernel(self, task, graph, runtime):
-        spec = resolve_kernel(task.kernel)
-        if isinstance(spec, QirKernel):
-            if spec.source is not None:
-                text = spec.source
-            else:
-                text = find_kernel_file(spec.path).read_text()
-            prog = parse_qir(text)
-            circuit = lower_to_circuit(prog)
-            _, dist = simulate(circuit)
-            positions = output_positions(prog)
-            if positions is not None:
-                dist = marginalize(dist, positions)
-            if spec.shots == 0:
-                return dist
-            return sample_shots(dist, spec.shots, _task_seed(spec, graph, task))
+        spec = task.kernel
+        seed = spec.seed if spec.seed is not None else graph.derived_seed(task)
         if isinstance(spec, CircuitKernel):
             _, dist = simulate(spec.circuit)
-            if spec.mode == "exact":
-                return dist
-            return sample_shots(dist, spec.shots, _task_seed(spec, graph, task))
-        raise RuntimeError(f"qpu device cannot run {type(spec).__name__}")
+            return dist if spec.mode == "exact" else sample_shots(dist, spec.shots, seed)
+        text = spec.source if spec.path is None else find_kernel_file(spec.path).read_text()
+        return run_qir(text, None if spec.shots == 0 else spec.shots, seed)
 
 
 class HostDevice(DeviceBackend):
     """Host callback executor for registered classical kernels."""
 
     device_class = HOST
-    supported_kinds = (HostKernel,)
 
     def run_kernel(self, task, graph, runtime):
-        spec = resolve_kernel(task.kernel)
-        if not isinstance(spec, HostKernel):
-            raise RuntimeError(f"host device cannot run {type(spec).__name__}")
+        spec = task.kernel
         fn = runtime._host_kernels.get(spec.name)
         if fn is None:
             raise RuntimeError(f"unknown-kernel: {spec.name!r} is not registered")
@@ -417,7 +419,7 @@ def _req_allows(req, device: DeviceBackend) -> bool:
 
 
 def _capable(device: DeviceBackend, task: Task) -> bool:
-    return device.device_class == kernel_class_requirement(task.kernel) and _req_allows(
+    return device.device_class == task.kernel.device_class and _req_allows(
         task.device_req, device
     )
 
@@ -701,23 +703,22 @@ class Runtime:
             if device.running != 1:
                 raise AssertionError(f"device {device.id} double occupancy")
             graph._record("running", task, device.id)
-        transfers = 0
+        transfers, error = 0, None
         try:
             transfers = self._prepare_reads(task, device)
             payload = device.run_kernel(task, graph, self)
             self._commit_writes(task, device, payload)
-        except Exception as exc:  # failures are results, not crashes
-            with self._cond:
-                device.running -= 1
-                device.pending -= 1
-                self._fail_task(graph, task, device, f"{type(exc).__name__}: {exc}", transfers)
-                self._dispatch_all()
-                self._cond.notify_all()
-            return
+        # whatever the kernel raised (SystemExit too) fails the task and the worker
+        # lives on; signals such as KeyboardInterrupt only reach the main thread
+        except BaseException as exc:
+            error = f"{type(exc).__name__}: {exc}"
         with self._cond:
             device.running -= 1
             device.pending -= 1
-            self._complete_task(graph, task, device, payload, transfers)
+            if error is None:
+                self._complete_task(graph, task, device, payload, transfers)
+            else:
+                self._fail_task(graph, task, device, error, transfers)
             self._dispatch_all()
             self._cond.notify_all()
 
@@ -725,13 +726,8 @@ class Runtime:
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:
     """Runtime with qpu devices ids 0..qpu-1 and host devices after them."""
     runtime = Runtime()
-    next_id = 0
-    for _ in range(qpu):
-        runtime.register_device(QpuDevice(next_id))
-        next_id += 1
-    for _ in range(host):
-        runtime.register_device(HostDevice(next_id))
-        next_id += 1
+    for i in range(qpu + host):
+        runtime.register_device(QpuDevice(i) if i < qpu else HostDevice(i))
     return runtime
 
 
@@ -769,22 +765,18 @@ _KERNEL_FIELDS = {
     "circuit": {"type", "qubits", "gates", "mode"},
 }
 
+# gate name -> (constructor, argument count): the qubits, then an angle or a result slot
 _JSON_GATES: dict[str, tuple[Callable, int]] = {
-    "h": (Gate.h, 1),
-    "x": (Gate.x, 1),
-    "y": (Gate.y, 1),
-    "z": (Gate.z, 1),
-    "s": (Gate.s, 1),
-    "sdg": (Gate.sdg, 1),
-    "t": (Gate.t, 1),
-    "tdg": (Gate.tdg, 1),
-    "rx": (Gate.rx, 2),
-    "ry": (Gate.ry, 2),
-    "rz": (Gate.rz, 2),
-    "cnot": (Gate.cnot, 2),
-    "cz": (Gate.cz, 2),
-    "mz": (Gate.mz, 2),
+    kind.value: (
+        getattr(Gate, kind.value),
+        (2 if kind in TWO_QUBIT_KINDS else 1) + (kind in ROTATION_KINDS or kind is GateKind.MZ),
+    )
+    for kind in GateKind
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown(obj: Mapping, allowed: set[str], where: str):
@@ -795,7 +787,7 @@ def _reject_unknown(obj: Mapping, allowed: set[str], where: str):
 
 def _json_circuit(spec: Mapping, where: str) -> Circuit:
     qubits = spec.get("qubits")
-    if not isinstance(qubits, int) or qubits < 1:
+    if not _is_int(qubits) or qubits < 1:
         raise GraphSpecError(f"circuit kernel in {where} needs a positive 'qubits'")
     circuit = Circuit(qubits)
     for entry in spec.get("gates", []):
@@ -807,6 +799,8 @@ def _json_circuit(spec: Mapping, where: str) -> Circuit:
             raise GraphSpecError(
                 f"gate {entry[0]!r} in {where} expects {arity} argument(s), got {len(args)}"
             )
+        if any(isinstance(a, bool) for a in args):
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}: boolean operand")
         try:
             circuit.append(ctor(*args))
         except (TypeError, ValueError) as exc:
@@ -850,7 +844,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
     _reject_unknown(obj, _TOP_FIELDS, "graph spec")
 
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise GraphSpecError("'seed' must be an integer")
     policy = obj.get("policy", "default")
     if policy not in ("default", "roundrobin"):
@@ -862,8 +856,9 @@ def parse_graph_spec(text: str) -> GraphSpec:
     _reject_unknown(devices, _DEVICE_FIELDS, "devices")
     qpu = devices.get("qpu", 0)
     host = devices.get("host", 0)
-    if not all(isinstance(v, int) and v >= 0 for v in (qpu, host)):
-        raise GraphSpecError("device counts must be non-negative integers")
+    for key, count in (("qpu", qpu), ("host", host)):
+        if not _is_int(count) or count < 0:
+            raise GraphSpecError(f"device counts must be non-negative integers: {key!r}")
 
     raw_tasks = obj.get("tasks")
     if not isinstance(raw_tasks, list):
@@ -884,13 +879,13 @@ def parse_graph_spec(text: str) -> GraphSpec:
         names.add(name)
         where = f"task {name!r}"
         shots = raw.get("shots", 1024)
-        if not isinstance(shots, int) or shots < 0:
+        if not _is_int(shots) or shots < 0:
             raise GraphSpecError(f"'shots' in {where} must be a non-negative integer")
         depends = raw.get("depends", [])
         if not isinstance(depends, list) or not all(isinstance(d, str) for d in depends):
             raise GraphSpecError(f"'depends' in {where} must be a list of task names")
         device = raw.get("device", ANY)
-        if not (device in (ANY, HOST, QPU) or isinstance(device, int)):
+        if not (device in (ANY, HOST, QPU) or _is_int(device)):
             raise GraphSpecError(f"'device' in {where} must be any, qpu, host, or an id")
         kernel = _json_kernel(raw.get("kernel"), shots, where)
         entries.append(TaskSpecEntry(name, kernel, tuple(depends), device))

@@ -70,10 +70,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     @classmethod
-    def zero(cls, num_qubits: int, max_qubits: int = MAX_QUBITS) -> "StateVector":
-        if num_qubits > max_qubits:
+    def zero(cls, num_qubits: int) -> "StateVector":
+        if num_qubits > MAX_QUBITS:
             raise ValueError(
-                f"{num_qubits} qubits exceeds the {max_qubits}-qubit dense-simulation cap"
+                f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
             )
         amps = np.zeros(1 << num_qubits, dtype=complex)
         amps[0] = 1.0
@@ -176,13 +176,13 @@ def _slot_ordered_qubits(circuit: Circuit) -> tuple[int, ...]:
     return tuple(mapping[s] for s in sorted(mapping))
 
 
-def simulate(circuit: Circuit, *, max_qubits: int = MAX_QUBITS) -> tuple[StateVector, ProbDist]:
+def simulate(circuit: Circuit) -> tuple[StateVector, ProbDist]:
     """Evolve the circuit's unitary part and marginalize over measured qubits.
 
     All measurements must be terminal: once a qubit is measured, no later
     gate may touch it (including a second measurement).
     """
-    state = StateVector.zero(circuit.num_qubits, max_qubits=max_qubits)
+    state = StateVector.zero(circuit.num_qubits)
     measured: set[int] = set()
     for gate in circuit.ops:
         for q in gate.qubits:
@@ -234,9 +234,7 @@ def sample_shots(dist: ProbDist, shots: int, seed: int) -> ShotHistogram:
     )
 
 
-def run_trajectory(
-    circuit: Circuit, shots: int, seed: int, *, max_qubits: int = MAX_QUBITS
-) -> ShotHistogram:
+def run_trajectory(circuit: Circuit, shots: int, seed: int) -> ShotHistogram:
     """Per-shot stochastic evolution with measurement collapse.
 
     Handles mid-circuit measurement: each mz samples the qubit's marginal,
@@ -247,18 +245,13 @@ def run_trajectory(
         raise ValueError("shots must be non-negative")
     slots = circuit.result_slots
     slot_pos = {s: i for i, s in enumerate(slots)}
-    dim = 1 << circuit.num_qubits
-    if circuit.num_qubits > max_qubits:
-        raise ValueError(
-            f"{circuit.num_qubits} qubits exceeds the {max_qubits}-qubit dense-simulation cap"
-        )
-    bit_of = [((np.arange(dim) >> q) & 1).astype(bool) for q in range(circuit.num_qubits)]
+    initial = StateVector.zero(circuit.num_qubits)  # rejects a width past MAX_QUBITS
+    index = np.arange(initial.amplitudes.size)
+    bit_of = [((index >> q) & 1).astype(bool) for q in range(circuit.num_qubits)]
     rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
     for _ in range(shots):
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        state = StateVector(circuit.num_qubits, amps)
+        state = StateVector(circuit.num_qubits, initial.amplitudes.copy())
         bits = ["0"] * len(slots)
         for gate in circuit.ops:
             if gate.kind is not GateKind.MZ:

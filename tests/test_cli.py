@@ -1,6 +1,13 @@
+import hashlib
 import json
 
+import pytest
+
+from qtask import cli
+from qtask.circuit import Circuit, Gate
 from qtask.cli import main
+from qtask.qir import emit_qir, output_positions, parse_qir
+from qtask.runtime import QirKernel, TaskState, make_runtime
 
 FANOUT_GRAPH = {
     "seed": 7,
@@ -208,3 +215,75 @@ def test_ghz_qpd_stdout_invariant_to_device_count(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_graph_boolean_for_integer_is_usage_error(capsys, tmp_path):
+    spec = dict(FANOUT_GRAPH, tasks=[dict(FANOUT_GRAPH["tasks"][0], device=True)])
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'device'" in err
+
+
+# -- one QIR execution path ---------------------------------------------------
+
+
+def _qir_task_payload(kernel):
+    with make_runtime(qpu=1, host=0) as runtime:
+        graph = runtime.create_graph()
+        tid = graph.create_task("t", kernel)
+        result = runtime.wait(runtime.submit(graph))[tid]
+    assert result.status is TaskState.COMPLETED
+    return result.payload
+
+
+@pytest.mark.parametrize("program", ["bell", "reordered"])
+def test_exec_prints_the_counts_of_the_equivalent_qir_task(capsys, tmp_path, program):
+    if program == "bell":
+        path, keys = "bell.ll", {"00", "11"}
+    else:
+        # record order differs from slot order, so the outcome keys are reordered
+        circuit = Circuit(3).append(
+            Gate.h(0), Gate.cnot(0, 1), Gate.x(2), Gate.mz(0, 0), Gate.mz(1, 1), Gate.mz(2, 2)
+        )
+        text = emit_qir(circuit, output_order=[2, 0, 1])
+        assert output_positions(parse_qir(text)) is not None
+        path, keys = str(tmp_path / "reordered.ll"), {"100", "111"}
+        (tmp_path / "reordered.ll").write_text(text)
+    code, out, _ = run_cli(capsys, "exec", path, "-s", "64", "--seed", "7")
+    payload = _qir_task_payload(QirKernel(path=path, shots=64, seed=7))
+    assert code == 0
+    assert set(payload.counts) <= keys
+    expected = "".join(f"{k} {payload.counts[k]}\n" for k in sorted(payload.counts))
+    assert out == expected + "shots 64\n"
+
+
+def test_exec_probs_with_trajectory_rejected_before_simulating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_qir", lambda *a, **k: pytest.fail("program was executed"))
+    code, out, err = run_cli(capsys, "exec", "bell.ll", "-a", "trajectory", "--probs")
+    assert code == 2 and out == ""
+    assert "statevector" in err
+
+
+# SHA-256 of stdout for the README commands, recorded before the CLI and the
+# QPU device shared one QIR execution path; pins the bytes across changes
+README_STDOUT_SHA256 = {
+    ("exec", "bell.ll", "-s", "1024", "--seed", "7"):
+        "cacc12c2ac3f75df0ba2ce6a9db9763fad1cd3a5ce52c75617b3490c50a7a891",
+    ("exec", "ghz4.ll", "-s", "0", "--probs"):
+        "5683c1def71890c3d05886bace960d9a0c0023fe318cb804628daf68ee1366d1",
+    ("exec", "ghz4.ll", "-a", "trajectory", "-s", "64", "--seed", "3"):
+        "b00f5277f09fcf64fe49f7cf35c5e637c88222e7e712dcbecb2e032a26e0bab2",
+    ("ghz-qpd", "--mode", "exact", "--reps", "1"):
+        "5f3332897b3198968fbe0ae13700883138d5ec46088a1aa2887bd5ae8ef1159e",
+    ("ghz-qpd", "--reps", "3", "--seed", "5", "--devices", "2"):
+        "800f4fcd391398513365f03c45f4e9bac034700c7409c0bf2b1c70edd997b1e6",
+}
+
+
+@pytest.mark.parametrize("argv", list(README_STDOUT_SHA256), ids=" ".join)
+def test_readme_commands_stdout_golden(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[argv]

@@ -218,3 +218,22 @@ def test_output_positions_identity_and_permuted():
 def test_find_kernel_file_missing():
     with pytest.raises(FileNotFoundError):
         find_kernel_file("nope.ll")
+
+
+def test_emit_bytes_pinned_for_every_gate_kind():
+    # SHA-256 of the emitted text, recorded before the emitter's gate-name
+    # table was derived from the parser's; any byte of drift fails here
+    import hashlib
+
+    c = Circuit(3)
+    for g in [
+        Gate.h(0), Gate.x(1), Gate.y(2), Gate.z(0), Gate.s(1), Gate.sdg(2), Gate.t(0),
+        Gate.tdg(1), Gate.rx(2, 0.1), Gate.ry(0, -1.5), Gate.rz(1, 3.0), Gate.cnot(0, 1),
+        Gate.cz(1, 2), Gate.mz(2, 1), Gate.mz(0, 0), Gate.mz(1, 2),
+    ]:
+        c.append(g)
+    assert {g.kind for g in c.ops} == set(GateKind)
+    text = emit_qir(c, output_order=[2, 0, 1])
+    assert "__quantum__qis__cnot__body" in text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5ef84ba61a9da143df3789309289e50cde9f78d1241ca91af6959327ea002e8c"

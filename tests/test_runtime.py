@@ -475,3 +475,57 @@ def test_parse_graph_spec_bad_policy_and_kernel():
         parse_graph_spec(
             '{"devices": {}, "tasks": [{"name": "a", "kernel": {"type": "gpu"}}]}'
         )
+
+
+def _spec_with(top=None, devices=None, task=None, kernel=None):
+    circuit = {"type": "circuit", "qubits": 1, "gates": [["h", 0], ["mz", 0, 0]]}
+    entry = {"name": "a", "kernel": {**circuit, **(kernel or {})}, **(task or {})}
+    spec = {"devices": {"qpu": 1, **(devices or {})}, "tasks": [entry], **(top or {})}
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_spec_with(top={"seed": True}), "'seed'"),
+        (_spec_with(devices={"qpu": True}), "'qpu'"),
+        (_spec_with(devices={"host": False}), "'host'"),
+        (_spec_with(task={"shots": False}), "'shots'"),
+        (_spec_with(task={"device": True}), "'device'"),
+        (_spec_with(kernel={"qubits": True}), "'qubits'"),
+        (_spec_with(kernel={"gates": [["h", False], ["mz", 0, 0]]}), "boolean operand"),
+    ],
+    ids=["seed", "qpu", "host", "shots", "device", "qubits", "gate-operand"],
+)
+def test_parse_graph_spec_rejects_booleans_for_integers(text, field):
+    with pytest.raises(GraphSpecError, match=field):
+        parse_graph_spec(text)
+
+
+def test_kernel_raising_system_exit_fails_task_and_worker_survives():
+    import threading
+
+    with make_runtime(qpu=0, host=1) as runtime:
+
+        def bail(params, deps):
+            raise SystemExit(3)
+
+        runtime.register_host_kernel("bail", bail)
+        runtime.register_host_kernel("ok", lambda p, d: "ok")
+        graph = runtime.create_graph()
+        tid = graph.create_task("t", HostKernel("bail"))
+        handle = runtime.submit(graph)
+        box = {}
+        waiter = threading.Thread(target=lambda: box.update(results=runtime.wait(handle)))
+        waiter.daemon = True
+        waiter.start()
+        waiter.join(timeout=10)
+        assert "results" in box, "wait() without a timeout did not return"
+        assert box["results"][tid].status is TaskState.FAILED
+        assert box["results"][tid].error == "SystemExit: 3"
+
+        later = runtime.create_graph()
+        tid2 = later.create_task("u", HostKernel("ok"))
+        results = runtime.wait(runtime.submit(later), timeout=10)
+        assert results[tid2].status is TaskState.COMPLETED
+        assert results[tid2].payload == "ok" and results[tid2].device_id == 0
