@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import graphlib
+import heapq
 import itertools
 import json
 import queue
@@ -179,6 +180,9 @@ class TaskGraph:
         self.submitted = False
         self.trace: list[tuple[int, str, int, int | None]] = []
         self._seq = itertools.count()
+        self._unfinished = 0  # tasks not yet completed or failed
+        # id heaps of ready, unassigned tasks per (kernel class, device requirement)
+        self._ready: dict[tuple[str, str | int], list[int]] = {}
 
     def create_task(
         self,
@@ -214,6 +218,7 @@ class TaskGraph:
         task.graph = self
         self.tasks[task_id] = task
         self._by_name[name] = task_id
+        self._unfinished += 1
         return task_id
 
     def task_id_by_name(self, name: str) -> int:
@@ -223,7 +228,11 @@ class TaskGraph:
         return derive_seed(self.seed, task.id)
 
     def all_terminal(self) -> bool:
-        return all(t.state in TERMINAL_STATES for t in self.tasks.values())
+        return self._unfinished == 0
+
+    def _push_ready(self, task: Task):
+        key = (task.kernel.device_class, task.device_req)
+        heapq.heappush(self._ready.setdefault(key, []), task.id)
 
     def _record(self, event: str, task: Task, device_id: int | None):
         self.trace.append((next(self._seq), event, task.id, device_id))
@@ -478,6 +487,8 @@ class Runtime:
         self._mem_count = itertools.count()
         self._active: list[TaskGraph] = []
         self._closed = False
+        # (kernel class, device requirement) -> capable devices, in registration order
+        self._caps: dict[tuple[str, str | int], list[DeviceBackend]] = {}
 
     # -- registries
 
@@ -486,6 +497,7 @@ class Runtime:
             if backend.id in self._devices:
                 raise ValueError(f"duplicate device id {backend.id}")
             self._devices[backend.id] = backend
+            self._caps.clear()
         backend._start(self)
         return backend.id
 
@@ -587,10 +599,19 @@ class Runtime:
     # -- lifecycle
 
     def shutdown(self):
+        """Stop the device workers. Tasks of submitted graphs that have not
+        started running fail with ``runtime-shutdown``, so every graph ends and
+        every ``wait()`` returns; a task already running finishes normally."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
+            for graph in self._active:
+                graph._ready.clear()
+                for task in graph.tasks.values():
+                    if task.state in (TaskState.SUBMITTED, TaskState.READY):
+                        self._mark_failed(graph, task, "runtime-shutdown")
+            self._cond.notify_all()
             devices = list(self._devices.values())
         for d in devices:
             d._stop()
@@ -611,6 +632,21 @@ class Runtime:
                 f"illegal transition {task.state.value} -> {new.value} for {task!r}"
             )
         task.state = new
+        if new is TaskState.READY:
+            task.graph._push_ready(task)
+        elif new in TERMINAL_STATES:
+            task.graph._unfinished -= 1
+
+    def _capable_devices(self, key: tuple[str, str | int]) -> list[DeviceBackend]:
+        caps = self._caps.get(key)
+        if caps is None:
+            device_class, req = key
+            caps = self._caps[key] = [
+                d
+                for d in self._devices.values()
+                if d.device_class == device_class and _req_allows(req, d)
+            ]
+        return caps
 
     def _dispatch_all(self):
         for graph in list(self._active):
@@ -620,13 +656,24 @@ class Runtime:
             self._dispatch_graph(graph)
 
     def _dispatch_graph(self, graph: TaskGraph):
-        ready = [
-            t
-            for t in graph.tasks.values()
-            if t.state is TaskState.READY and t.assigned_device is None
-        ]
-        if not ready:
+        # schedule_next sees, per capability bucket, only the lowest-id ready
+        # tasks it could place: all of them when no device is capable (they
+        # fail), under roundrobin, or when pinned to a device id; otherwise one
+        # per idle capable device, since a later task of the bucket cannot get
+        # a device in this dispatch. Decisions equal those of handing it every
+        # ready task in id order, at a cost that does not grow with the graph.
+        ids = []
+        for key, heap in graph._ready.items():
+            if not heap:
+                continue
+            caps = self._capable_devices(key)
+            take = len(heap)
+            if caps and graph.policy != "roundrobin" and not isinstance(key[1], int):
+                take = min(take, sum(d.pending == 0 for d in caps))
+            ids.extend(heapq.heappop(heap) for _ in range(take))
+        if not ids:
             return
+        ready = [graph.tasks[i] for i in sorted(ids)]
         devices = list(self._devices.values())
         assignments, graph.rr_cursor = schedule_next(
             ready, devices, graph.policy, graph.rr_cursor
@@ -638,6 +685,9 @@ class Runtime:
             task.assigned_device = device.id
             device.pending += 1
             device._queue.put(task)
+        for task in ready:
+            if task.state is TaskState.READY and task.assigned_device is None:
+                graph._push_ready(task)
 
     def _complete_task(self, graph: TaskGraph, task: Task, device, payload, transfers):
         self._set_state(task, TaskState.COMPLETED)
@@ -655,16 +705,16 @@ class Runtime:
             if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
                 self._set_state(dependent, TaskState.READY)
 
-    def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
+    def _mark_failed(self, graph: TaskGraph, task: Task, error: str, device_id=None, transfers=0):
         self._set_state(task, TaskState.FAILED)
         task.terminal_seq = next(graph._seq)
         task.result = TaskResult(
-            TaskState.FAILED,
-            error=error,
-            device_id=None if device is None else device.id,
-            transfer_count=transfers,
+            TaskState.FAILED, error=error, device_id=device_id, transfer_count=transfers
         )
-        graph._record("failed", task, None if device is None else device.id)
+        graph._record("failed", task, device_id)
+
+    def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
+        self._mark_failed(graph, task, error, None if device is None else device.id, transfers)
         # fail-fast: transitive dependents never run
         stack = list(graph.dependents.get(task.id, ()))
         while stack:
@@ -672,10 +722,7 @@ class Runtime:
             dependent = graph.tasks[dep_id]
             if dependent.state in TERMINAL_STATES:
                 continue
-            self._set_state(dependent, TaskState.FAILED)
-            dependent.terminal_seq = next(graph._seq)
-            dependent.result = TaskResult(TaskState.FAILED, error="dependency-failed")
-            graph._record("failed", dependent, None)
+            self._mark_failed(graph, dependent, "dependency-failed")
             stack.extend(graph.dependents.get(dep_id, ()))
 
     def _prepare_reads(self, task: Task, device: DeviceBackend) -> int:
@@ -697,6 +744,9 @@ class Runtime:
         # runs on the device worker thread
         graph = task.graph
         with self._cond:
+            if task.state in TERMINAL_STATES:  # failed by shutdown() while queued
+                device.pending -= 1
+                return
             self._set_state(task, TaskState.RUNNING)
             task.running_seq = next(graph._seq)
             device.running += 1

@@ -178,6 +178,44 @@ def test_graph_payload_summaries_stable_across_policies(capsys, tmp_path):
     assert payloads_rr == payloads_def
 
 
+# qpu tasks of several lengths, some waiting on others, plus host tasks: under
+# default the device a task lands on depends on which qpu frees first
+MIXED_GRAPH = {
+    "seed": 9,
+    "policy": "default",
+    "devices": {"qpu": 2, "host": 1},
+    "tasks": [
+        {"name": "a", "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 256},
+        {"name": "b", "kernel": {"type": "qir", "file": "ghz4.ll"}, "shots": 256},
+        {"name": "c", "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 64},
+        {"name": "d", "kernel": {"type": "host", "name": "noop"}, "depends": ["a"]},
+        {"name": "e", "kernel": {"type": "qir", "file": "ghz4.ll"}, "shots": 128,
+         "depends": ["a"]},
+        {"name": "f", "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 32,
+         "depends": ["b"]},
+        {"name": "g", "kernel": {"type": "host", "name": "noop"}, "depends": ["c", "e"]},
+        {"name": "h", "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 512,
+         "depends": ["f"]},
+    ],
+}
+
+
+def test_graph_default_policy_repeats_everything_but_the_device_column(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_GRAPH))
+    runs = []
+    for _ in range(5):
+        code, out, _ = run_cli(capsys, "graph", str(path), "--policy", "default")
+        assert code == 0
+        lines = out.splitlines()
+        payloads = [ln for ln in lines if ln.startswith("  ")]
+        statuses = [ln.split()[::2] for ln in lines if not ln.startswith("  ")]
+        runs.append((payloads, statuses))
+    assert len(runs[0][0]) == 6
+    assert all(status == "completed" for _, status in runs[0][1])
+    assert all(run == runs[0] for run in runs)
+
+
 # -- ghz-qpd ------------------------------------------------------------------
 
 

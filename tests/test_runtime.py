@@ -1,14 +1,20 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qtask.runtime
 from qtask.circuit import Circuit, Gate
 from qtask.qir import find_kernel_file
 from qtask.runtime import (
     ANY,
     HOST,
+    POLICIES,
     QPU,
+    TERMINAL_STATES,
     CircuitKernel,
     CycleError,
     GraphSpecError,
@@ -410,6 +416,140 @@ def test_random_dag_safety(trial):
         results = runtime.wait(runtime.submit(graph, policy=policy))
         assert all(r.status is TaskState.COMPLETED for r in results.values())
         _check_trace(graph)
+
+
+# -- dispatch cost and shutdown ------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["default", "roundrobin"])
+@pytest.mark.parametrize("shape", ["chain", "fanout"])
+def test_dispatch_hands_each_task_to_the_policy_once(monkeypatch, shape, policy):
+    # counts, not wall-clock time: a dispatch that rescans every waiting task
+    # hands the policy about n*n/2 tasks on the default fan-out
+    n = 2000
+    handed = []
+
+    def counting(ready, devices, policy, rr_cursor):
+        handed.append(len(ready))
+        return schedule_next(ready, devices, policy, rr_cursor)
+
+    monkeypatch.setattr(qtask.runtime, "schedule_next", counting)
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: None)
+        graph = runtime.create_graph()
+        prev = []
+        for i in range(n):
+            tid = graph.create_task(f"t{i}", HostKernel("nop"), deps=prev)
+            prev = [tid] if shape == "chain" else []
+        results = runtime.wait(runtime.submit(graph, policy=policy), timeout=60)
+    assert len(results) == n
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+    assert sum(handed) == n
+
+
+def test_shutdown_fails_tasks_not_yet_running_and_wait_returns():
+    started, release = threading.Event(), threading.Event()
+    runtime = make_runtime(qpu=0, host=1)
+    try:
+
+        def hold(params, deps):
+            started.set()
+            release.wait(10)
+            return "a"
+
+        runtime.register_host_kernel("hold", hold)
+        runtime.register_host_kernel("nop", lambda p, d: "b")
+        graph = runtime.create_graph()
+        a = graph.create_task("a", HostKernel("hold"))
+        b = graph.create_task("b", HostKernel("nop"), deps=[a])
+        handle = runtime.submit(graph)
+        assert started.wait(10)
+        box = {}
+        waiter = threading.Thread(target=lambda: box.update(results=runtime.wait(handle)))
+        stopper = threading.Thread(target=runtime.shutdown)
+        for thread in (waiter, stopper):
+            thread.daemon = True
+            thread.start()
+        # b must fail while a still runs, before a's completion could promote it
+        with runtime._cond:
+            runtime._cond.wait_for(lambda: graph.tasks[b].state is TaskState.FAILED, timeout=5)
+        release.set()
+        stopper.join(timeout=10)
+        waiter.join(timeout=10)
+        assert not stopper.is_alive()
+        assert not waiter.is_alive(), "wait() without a timeout did not return"
+    finally:
+        release.set()
+        runtime.shutdown()
+    results = box["results"]
+    assert results[a].status is TaskState.COMPLETED and results[a].payload == "a"
+    assert results[b].status is TaskState.FAILED
+    assert results[b].error == "runtime-shutdown" and results[b].device_id is None
+    assert handle.done()
+
+
+def _raise_value_error(params, deps):
+    raise ValueError(params)
+
+
+def _raise_system_exit(params, deps):
+    raise SystemExit(params[0])
+
+
+def _nap(params, deps):
+    time.sleep(0.001)  # keeps dependents waiting long enough for a shutdown to find them
+
+
+_KERNELS = {
+    "nop": HostKernel("nop", params=(1,)),
+    "nap": HostKernel("nap"),
+    "boom": HostKernel("boom", params=(2,)),
+    "bail": HostKernel("bail", params=(3,)),
+    "bell": CircuitKernel(
+        Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1)), shots=8
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_dag_with_failures_and_shutdown_always_ends(data):
+    n_tasks = data.draw(st.integers(1, 30), label="tasks")
+    n_qpu = data.draw(st.integers(1, 4), label="qpu")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
+    stop_after = data.draw(st.none() | st.integers(0, n_tasks), label="shutdown after")
+    runtime = make_runtime(qpu=n_qpu, host=1)
+    try:
+        runtime.register_host_kernel("nop", lambda p, d: p)
+        runtime.register_host_kernel("nap", _nap)
+        runtime.register_host_kernel("boom", _raise_value_error)
+        runtime.register_host_kernel("bail", _raise_system_exit)
+        graph = runtime.create_graph(seed=n_tasks)
+        for i in range(n_tasks):
+            deps = data.draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+            kind = data.draw(st.sampled_from(sorted(_KERNELS)))
+            graph.create_task(f"t{i}", _KERNELS[kind], deps=deps)
+        handle = runtime.submit(graph, policy=policy)
+        if stop_after is not None:
+            with runtime._cond:
+                runtime._cond.wait_for(
+                    lambda: sum(t.result is not None for t in graph.tasks.values()) >= stop_after,
+                    timeout=10,
+                )
+            runtime.shutdown()
+        box = {}
+        waiter = threading.Thread(target=lambda: box.update(results=runtime.wait(handle)))
+        waiter.daemon = True
+        waiter.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive(), "wait() without a timeout did not return"
+    finally:
+        runtime.shutdown()
+    assert len(box["results"]) == n_tasks
+    assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
+    if stop_after is None:
+        assert all(r.error != "runtime-shutdown" for r in box["results"].values())
+    _check_trace(graph)
 
 
 # -- graph JSON ---------------------------------------------------------------
