@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Pauli, PrepLabel, basis_change, prep_circuit
 from .seeding import derive_seed
-from .simulator import ProbDist, ShotHistogram, expectation_pauli, sample_shots, simulate
+from .simulator import ProbDist, ShotHistogram, simulate
 from . import runtime as rt
 
 REDUCE_TASK = "qpd_reduce"
@@ -256,11 +256,6 @@ class InstanceResult:
     p3: ProbDist | ShotHistogram | Mapping[str, float] | None = None
 
 
-def eigenvalue(bit: int) -> int:
-    """Measured bit to observable eigenvalue: 0 -> +1, 1 -> -1."""
-    return 1 - 2 * bit
-
-
 def sign_function(y1: int, y2: int, y3: int, y4: int) -> int:
     """Product (2*y1-1)(2*y2-1)(2*y3-1)(2*y4-1) over the end-measurement bits."""
     return _parity_sign((y1, y2, y3, y4))
@@ -287,22 +282,22 @@ def _prob_items(dist):
     raise TypeError(f"not a distribution: {dist!r}")
 
 
-def _moment_y_obs(dist, measured_obs: bool) -> float:
-    """Sum of P(key) * (2*y-1) * eigenvalue(o); o fixed +1 for identity."""
+def _moment(dist, second: int) -> float:
+    """Sum of P(key) * (2*y0-1) * w1 over a fragment's outcomes, where w1 is 1
+    for ``second`` 0 (an identity observable leaves no second bit) and else
+    ``second * (2*y1-1)``: -1 gives the observable's eigenvalue, +1 a parity."""
     total = 0.0
     for key, p in _prob_items(dist):
         w = 2 * int(key[0]) - 1
-        if measured_obs:
-            w *= eigenvalue(int(key[1]))
+        if second:
+            w *= second * (2 * int(key[1]) - 1)
         total += p * w
     return total
 
 
-def _moment_yy(dist) -> float:
-    total = 0.0
-    for key, p in _prob_items(dist):
-        total += p * (2 * int(key[0]) - 1) * (2 * int(key[1]) - 1)
-    return total
+def _observable_second(term: QpdTerm) -> int:
+    """``second`` for a fragment that ends by measuring ``term``'s observable."""
+    return 0 if term.observable is Pauli.I else -1
 
 
 @dataclass
@@ -346,13 +341,13 @@ def estimate_zzzz(
     for k, s in sorted(expected, key=lambda p: (p[0], p[1] or 0)):
         tk = decomp.term(k)
         res = results[(k, s)]
-        m1 = _moment_y_obs(res.p1, tk.observable is not Pauli.I)
+        m1 = _moment(res.p1, _observable_second(tk))
         if s is None:
-            value += tk.coefficient * m1 * _moment_yy(res.p2)
+            value += tk.coefficient * m1 * _moment(res.p2, 1)
             continue
         ts = decomp.term(s)
-        m2 = _moment_y_obs(res.p2, ts.observable is not Pauli.I)
-        m3 = _moment_yy(res.p3)
+        m2 = _moment(res.p2, _observable_second(ts))
+        m3 = _moment(res.p3, 1)
         value += tk.coefficient * ts.coefficient * m1 * m2 * m3
 
     shots = None
@@ -375,19 +370,10 @@ def _fragment_task_names(k: int, s: int | None, dedup: bool) -> tuple[str, ...]:
 
 
 def _reduce_kernel(params, deps):
-    decomp, mode, dedup, one_cut = params
-    results = {}
-    if one_cut:
-        for t in decomp.terms:
-            n1, n2 = _fragment_task_names(t.index, None, dedup)
-            results[(t.index, None)] = InstanceResult(deps[n1], deps[n2])
-    else:
-        for tk in decomp.terms:
-            for ts in decomp.terms:
-                n1, n2, n3 = _fragment_task_names(tk.index, ts.index, dedup)
-                results[(tk.index, ts.index)] = InstanceResult(
-                    deps[n1], deps[n2], deps[n3]
-                )
+    decomp, mode, names_by_instance = params
+    results = {
+        key: InstanceResult(*(deps[n] for n in names)) for key, names in names_by_instance
+    }
     return estimate_zzzz(results, decomp, mode)
 
 
@@ -416,10 +402,11 @@ def instances_to_graph(
         raise ValueError(f"mode must be exact or sampled, got {mode!r}")
 
     graph = runtime.create_graph(seed=seed)
-    one_cut = any(inst.s is None for inst in instances)
     task_ids: dict[str, int] = {}
+    names_by_instance = []
     for inst in instances:
         names = _fragment_task_names(inst.k, inst.s, dedup)
+        names_by_instance.append(((inst.k, inst.s), names))
         for name, circuit in zip(names, inst.fragments):
             if name in task_ids:
                 continue
@@ -432,7 +419,7 @@ def instances_to_graph(
         runtime.register_host_kernel(REDUCE_TASK, _reduce_kernel)
     graph.create_task(
         REDUCE_TASK,
-        rt.HostKernel(REDUCE_TASK, params=(decomp, mode, dedup, one_cut)),
+        rt.HostKernel(REDUCE_TASK, params=(decomp, mode, tuple(names_by_instance))),
         deps=tuple(task_ids.values()),
         device_req=rt.HOST,
     )
@@ -477,22 +464,19 @@ def importance_sampled_estimate(
 
     rng = np.random.default_rng(seed)
 
-    def draw_moment(dist: ProbDist, kind: str, measured_obs: bool = False) -> float:
+    def draw(dist: ProbDist) -> dict[str, float]:
         keys = sorted(dist.probabilities)
         p = np.array([dist.probabilities[k] for k in keys])
         counts = rng.multinomial(shots, p / p.sum())
-        emp = {k: c / shots for k, c in zip(keys, counts) if c}
-        if kind == "yy":
-            return _moment_yy(emp)
-        return _moment_y_obs(emp, measured_obs)
+        return {k: c / shots for k, c in zip(keys, counts) if c}
 
     total = 0.0
     for _ in range(n_samples):
         tk = terms[rng.choice(len(terms), p=weights)]
         ts = terms[rng.choice(len(terms), p=weights)]
-        m1 = draw_moment(dist1[tk.index], "yo", tk.observable is not Pauli.I)
-        m2 = draw_moment(dist2[(tk.index, ts.index)], "yo", ts.observable is not Pauli.I)
-        m3 = draw_moment(dist3[ts.index], "yy")
+        m1 = _moment(draw(dist1[tk.index]), _observable_second(tk))
+        m2 = _moment(draw(dist2[(tk.index, ts.index)]), _observable_second(ts))
+        m3 = _moment(draw(dist3[ts.index]), 1)
         total += gamma * gamma * tk.sign * ts.sign * m1 * m2 * m3
     return QpdEstimate(
         value=total / n_samples, mode="importance", shots=shots, seed=seed

@@ -25,7 +25,7 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -176,7 +176,8 @@ class TaskGraph:
         self._by_name: dict[str, int] = {}
         self.dependents: dict[int, list[int]] = {}
         self.policy = "default"
-        self.rr_cursor = 0
+        # roundrobin: task id -> device fixed at submit (None: no capable device)
+        self.plan: dict[int, DeviceBackend | None] | None = None
         self.submitted = False
         self.trace: list[tuple[int, str, int, int | None]] = []
         self._seq = itertools.count()
@@ -256,18 +257,18 @@ class GraphHandle:
 
 
 class MemObject:
-    """Runtime-managed buffer with a clean/dirty flag per location.
+    """Runtime-managed buffer with one clean copy per location.
 
-    At least one location holds a clean copy at all times; reads from a
-    stale location copy from any clean one and count a transfer.
+    ``_copies`` maps each location holding a clean copy (a device id, or
+    None for the host) to its bytes. A write leaves only the writer's copy;
+    a read where no copy is held copies any entry and counts a transfer.
+    The map starts with the zeroed host copy, so it is never empty.
     """
 
     def __init__(self, obj_id: int, size: int):
         self.id = obj_id
         self.size = size
-        self._host = bytes(size)
-        self._host_clean = True
-        self._device: dict[int, tuple[bytes, bool]] = {}
+        self._copies: dict[int | None, bytes] = {None: bytes(size)}
         self._alive = True
         self.transfer_count = 0
 
@@ -275,47 +276,20 @@ class MemObject:
         if not self._alive:
             raise ValueError(f"mem object {self.id} used after free")
 
-    def _clean_source(self) -> bytes:
-        if self._host_clean:
-            return self._host
-        for buf, clean in self._device.values():
-            if clean:
-                return buf
-        raise RuntimeError(f"mem object {self.id} has no clean copy")
-
-    def _ensure_clean_device(self, device_id: int) -> int:
+    def _ensure_clean(self, loc: int | None) -> int:
+        """Give ``loc`` a clean copy; returns the transfers made (0 or 1)."""
         self._check_alive()
-        entry = self._device.get(device_id)
-        if entry is not None and entry[1]:
+        if loc in self._copies:
             return 0
-        self._device[device_id] = (bytes(self._clean_source()), True)
+        self._copies[loc] = next(iter(self._copies.values()))
         self.transfer_count += 1
         return 1
 
-    def _ensure_clean_host(self) -> int:
-        self._check_alive()
-        if self._host_clean:
-            return 0
-        self._host = bytes(self._clean_source())
-        self._host_clean = True
-        self.transfer_count += 1
-        return 1
-
-    def _write_host(self, data: bytes):
+    def _write(self, loc: int | None, data: bytes):
         self._check_alive()
         if len(data) != self.size:
             raise ValueError(f"size mismatch: object holds {self.size} bytes, got {len(data)}")
-        self._host = bytes(data)
-        self._host_clean = True
-        self._device = {d: (buf, False) for d, (buf, _) in self._device.items()}
-
-    def _write_device(self, device_id: int, data: bytes):
-        self._check_alive()
-        if len(data) != self.size:
-            raise ValueError(f"size mismatch: object holds {self.size} bytes, got {len(data)}")
-        self._device = {d: (buf, False) for d, (buf, _) in self._device.items()}
-        self._device[device_id] = (bytes(data), True)
-        self._host_clean = False
+        self._copies = {loc: bytes(data)}
 
 
 # --------------------------------------------------------------------------
@@ -419,25 +393,18 @@ class HostDevice(DeviceBackend):
 # Scheduling
 
 
-def _req_allows(req, device: DeviceBackend) -> bool:
-    if req == ANY:
-        return True
-    if isinstance(req, int):
-        return device.id == req
-    return device.device_class == req
-
-
-def _capable(device: DeviceBackend, task: Task) -> bool:
-    return device.device_class == task.kernel.device_class and _req_allows(
-        task.device_req, device
-    )
+def _capable_devices(devices: Iterable[DeviceBackend], key: tuple[str, str | int]):
+    """Devices, in the given order, that run kernels of class ``key[0]`` and meet
+    requirement ``key[1]``: any device, the device's class, or its id."""
+    kind, req = key
+    return [d for d in devices if d.device_class == kind and req in (ANY, kind, d.id)]
 
 
 def schedule_next(
     ready: Sequence[Task],
     devices: Sequence[DeviceBackend],
     policy: str,
-    rr_cursor: int,
+    cursor: int,
 ) -> tuple[list[tuple[Task, DeviceBackend | None]], int]:
     """Pure assignment decision for the currently ready tasks.
 
@@ -445,14 +412,18 @@ def schedule_next(
     task with no capable device at all, to be failed; tasks absent from the
     list stay queued until a later dispatch. ``default`` picks the lowest-id
     capable idle device; ``roundrobin`` cycles a cursor over capable devices
-    regardless of occupancy (queues drain in dispatch order); explicit
+    regardless of occupancy (queues drain in dispatch order), and the runtime
+    calls it once per graph, at submit, on every task in id order; explicit
     integer requirements pin the task under every policy.
     """
     assignments: list[tuple[Task, DeviceBackend | None]] = []
-    cursor = rr_cursor
     claimed: set[int] = set()
+    caps_by_key: dict[tuple[str, str | int], list[DeviceBackend]] = {}
     for task in ready:
-        caps = [d for d in devices if _capable(d, task)]
+        key = (task.kernel.device_class, task.device_req)
+        caps = caps_by_key.get(key)
+        if caps is None:
+            caps = caps_by_key[key] = _capable_devices(devices, key)
         if not caps:
             assignments.append((task, None))
             continue
@@ -541,6 +512,11 @@ class Runtime:
 
             graph.submitted = True
             graph.policy = policy
+            if policy == "roundrobin":
+                # one call in id order, so placement does not depend on the
+                # order in which tasks become ready
+                assignments, _ = schedule_next(list(graph.tasks.values()), self.devices, policy, 0)
+                graph.plan = {task.id: device for task, device in assignments}
             graph.dependents = {tid: [] for tid in graph.tasks}
             for task in graph.tasks.values():
                 self._set_state(task, TaskState.SUBMITTED)
@@ -584,12 +560,12 @@ class Runtime:
 
     def dmem_write_host(self, obj: MemObject, data: bytes) -> None:
         with self._cond:
-            obj._write_host(data)
+            obj._write(None, data)
 
     def dmem_read_host(self, obj: MemObject) -> bytes:
         with self._cond:
-            obj._ensure_clean_host()
-            return obj._host
+            obj._ensure_clean(None)
+            return obj._copies[None]
 
     def dmem_free(self, obj: MemObject) -> None:
         with self._cond:
@@ -640,12 +616,7 @@ class Runtime:
     def _capable_devices(self, key: tuple[str, str | int]) -> list[DeviceBackend]:
         caps = self._caps.get(key)
         if caps is None:
-            device_class, req = key
-            caps = self._caps[key] = [
-                d
-                for d in self._devices.values()
-                if d.device_class == device_class and _req_allows(req, d)
-            ]
+            caps = self._caps[key] = _capable_devices(self._devices.values(), key)
         return caps
 
     def _dispatch_all(self):
@@ -656,12 +627,13 @@ class Runtime:
             self._dispatch_graph(graph)
 
     def _dispatch_graph(self, graph: TaskGraph):
+        # Under roundrobin every ready task goes to its planned device. Otherwise
         # schedule_next sees, per capability bucket, only the lowest-id ready
         # tasks it could place: all of them when no device is capable (they
-        # fail), under roundrobin, or when pinned to a device id; otherwise one
-        # per idle capable device, since a later task of the bucket cannot get
-        # a device in this dispatch. Decisions equal those of handing it every
-        # ready task in id order, at a cost that does not grow with the graph.
+        # fail) or when pinned to a device id; otherwise one per idle capable
+        # device, since a later task of the bucket cannot get a device in this
+        # dispatch. Decisions equal those of handing it every ready task in id
+        # order, at a cost that does not grow with the graph.
         ids = []
         for key, heap in graph._ready.items():
             if not heap:
@@ -674,10 +646,10 @@ class Runtime:
         if not ids:
             return
         ready = [graph.tasks[i] for i in sorted(ids)]
-        devices = list(self._devices.values())
-        assignments, graph.rr_cursor = schedule_next(
-            ready, devices, graph.policy, graph.rr_cursor
-        )
+        if graph.plan is None:
+            assignments, _ = schedule_next(ready, self.devices, graph.policy, 0)
+        else:
+            assignments = [(task, graph.plan[task.id]) for task in ready]
         for task, device in assignments:
             if device is None:
                 self._fail_task(graph, task, None, "no-capable-device", 0)
@@ -729,7 +701,7 @@ class Runtime:
         if not task.reads:
             return 0
         with self._cond:
-            return sum(obj._ensure_clean_device(device.id) for obj in task.reads)
+            return sum(obj._ensure_clean(device.id) for obj in task.reads)
 
     def _commit_writes(self, task: Task, device: DeviceBackend, payload):
         if not task.writes:
@@ -738,7 +710,7 @@ class Runtime:
             raise RuntimeError("tasks declaring writes must return a bytes payload")
         with self._cond:
             for obj in task.writes:
-                obj._write_device(device.id, bytes(payload))
+                obj._write(device.id, payload)
 
     def _execute_on(self, device: DeviceBackend, task: Task):
         # runs on the device worker thread

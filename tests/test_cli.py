@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
@@ -7,7 +9,7 @@ from qtask import cli
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
 from qtask.qir import emit_qir, output_positions, parse_qir
-from qtask.runtime import QirKernel, TaskState, make_runtime
+from qtask.runtime import HostDevice, QirKernel, QpuDevice, TaskState, make_runtime
 
 FANOUT_GRAPH = {
     "seed": 7,
@@ -214,6 +216,28 @@ def test_graph_default_policy_repeats_everything_but_the_device_column(capsys, t
     assert len(runs[0][0]) == 6
     assert all(status == "completed" for _, status in runs[0][1])
     assert all(run == runs[0] for run in runs)
+
+
+def test_graph_roundrobin_stdout_repeats_whatever_finishes_first(capsys, tmp_path, monkeypatch):
+    # random kernel delays vary the order in which tasks become ready; roundrobin
+    # placement is fixed at submit, so the device column must not follow it
+    rng = random.Random(3)
+    for cls in (QpuDevice, HostDevice):
+        run_kernel = cls.run_kernel
+
+        def delayed(self, task, graph, runtime, run_kernel=run_kernel):
+            time.sleep(rng.uniform(0, 0.003))
+            return run_kernel(self, task, graph, runtime)
+
+        monkeypatch.setattr(cls, "run_kernel", delayed)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_GRAPH))
+    hashes = set()
+    for _ in range(40):
+        code, out, _ = run_cli(capsys, "graph", str(path), "--policy", "roundrobin")
+        assert code == 0
+        hashes.add(hashlib.sha256(out.encode()).hexdigest())
+    assert len(hashes) == 1
 
 
 # -- ghz-qpd ------------------------------------------------------------------

@@ -259,6 +259,40 @@ def test_importance_sampling_deterministic():
     assert a.value == b.value
 
 
+# float.hex values pin the estimators' bytes across refactors: summation order,
+# coefficient products and the order of RNG draws all show in the last bit
+IMPORTANCE_PINS = {
+    (0, 1): "0x1.999999999999ap+2",
+    (0, 4): "0x1.3333333333333p+1",
+    (1, 1): "0x1.999999999999ap+2",
+    (1, 4): "0x1.999999999999ap+1",
+    (2, 1): "-0x1.3333333333333p+3",
+    (2, 4): "-0x1.0000000000000p+1",
+    (3, 1): "0x1.999999999999ap+2",
+    (3, 4): "0x1.3333333333333p+0",
+}
+SAMPLED_PINS = {1: "-0x1.a9fbe76c8b440p-6", 2: "0x1.e3033a4723aafp-1"}
+
+
+@pytest.mark.parametrize("seed, shots", sorted(IMPORTANCE_PINS))
+def test_importance_sampling_bytes_pinned(seed, shots):
+    est = importance_sampled_estimate(canonical_wire_cut(), n_samples=10, shots=shots, seed=seed)
+    assert est.value.hex() == IMPORTANCE_PINS[(seed, shots)]
+
+
+@pytest.mark.parametrize("n_cuts", [1, 2])
+def test_sampled_estimate_bytes_pinned(n_cuts):
+    decomp = canonical_wire_cut()
+    results = {}
+    for inst in build_ghz_qpd_instances(decomp, n_cuts=n_cuts):
+        hists = [
+            sample_shots(simulate(f)[1], 1000, seed=100 * inst.k + 10 * (inst.s or 0) + i)
+            for i, f in enumerate(inst.fragments)
+        ]
+        results[(inst.k, inst.s)] = InstanceResult(*hists)
+    assert estimate_zzzz(results, decomp, mode="sampled").value.hex() == SAMPLED_PINS[n_cuts]
+
+
 # -- runtime dispatch ---------------------------------------------------------
 
 

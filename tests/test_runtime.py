@@ -364,6 +364,29 @@ def test_dmem_device_write_then_host_read_flushes():
         assert obj.transfer_count == 1  # exactly the device->host flush
 
 
+def test_dmem_copies_move_between_two_devices():
+    with make_runtime(qpu=0, host=2) as runtime:
+        runtime.register_host_kernel("produce", lambda p, d: b"wxyz")
+        runtime.register_host_kernel("nop", lambda p, d: None)
+        obj = runtime.dmem_create(4)
+        graph = runtime.create_graph()
+        w = graph.create_task("w", HostKernel("produce"), device_req=0, writes=[obj])
+        r1 = graph.create_task("r1", HostKernel("nop"), deps=[w], device_req=1, reads=[obj])
+        r0 = graph.create_task("r0", HostKernel("nop"), deps=[r1], device_req=0, reads=[obj])
+        results = runtime.wait(runtime.submit(graph))
+        assert [results[t].transfer_count for t in (w, r1, r0)] == [0, 1, 0]
+        assert runtime.dmem_read_host(obj) == b"wxyz"
+        assert obj.transfer_count == 2
+
+        runtime.dmem_write_host(obj, b"abcd")  # leaves both devices stale
+        graph = runtime.create_graph()
+        a = graph.create_task("a", HostKernel("nop"), device_req=1, reads=[obj])
+        b = graph.create_task("b", HostKernel("nop"), deps=[a], device_req=1, reads=[obj])
+        results = runtime.wait(runtime.submit(graph))
+        assert [results[t].transfer_count for t in (a, b)] == [1, 0]
+        assert obj.transfer_count == 3
+
+
 def test_dmem_size_mismatch_and_use_after_free():
     with Runtime() as runtime:
         obj = runtime.dmem_create(4)
@@ -445,6 +468,52 @@ def test_dispatch_hands_each_task_to_the_policy_once(monkeypatch, shape, policy)
     assert len(results) == n
     assert all(r.status is TaskState.COMPLETED for r in results.values())
     assert sum(handed) == n
+
+
+def _sleep_ms(params, deps):
+    time.sleep(params[0] / 1000)
+
+
+def test_roundrobin_placement_does_not_follow_completion_order():
+    # random host delays vary which tasks become ready first; placement is fixed
+    # at submit, so every run puts every task on the same device
+    rng = np.random.default_rng(17)
+    circuit = CircuitKernel(
+        Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1)), shots=8
+    )
+    spec = []
+    for i in range(40):
+        deps = [j for j in range(i) if rng.random() < min(0.3, 3 / (i + 1))]
+        host = rng.random() < 0.5
+        spec.append((deps, host))
+    placements = set()
+    for run in range(20):
+        with make_runtime(qpu=3, host=2) as runtime:
+            runtime.register_host_kernel("sleep", _sleep_ms)
+            graph = runtime.create_graph(seed=4)
+            delays = np.random.default_rng(run).uniform(0, 3, size=len(spec))
+            for i, (deps, host) in enumerate(spec):
+                kernel = HostKernel("sleep", params=(float(delays[i]),)) if host else circuit
+                graph.create_task(f"t{i}", kernel, deps=deps)
+            results = runtime.wait(runtime.submit(graph, policy="roundrobin"), timeout=30)
+        assert all(r.status is TaskState.COMPLETED for r in results.values())
+        placements.add(tuple(results[i].device_id for i in range(len(spec))))
+    assert len(placements) == 1
+
+
+def test_roundrobin_plan_keeps_error_attribution():
+    # a task with no capable device fails when it becomes ready, so behind a
+    # failed task it reads dependency-failed, as under every other policy
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("boom", _raise_value_error)
+        graph = runtime.create_graph()
+        a = graph.create_task("a", HostKernel("boom", params=(1,)))
+        b = graph.create_task("b", bell_kernel(), deps=[a])
+        c = graph.create_task("c", bell_kernel())
+        results = runtime.wait(runtime.submit(graph, policy="roundrobin"))
+    assert results[a].error == "ValueError: (1,)"
+    assert results[b].error == "dependency-failed"
+    assert results[c].error == "no-capable-device" and results[c].device_id is None
 
 
 def test_shutdown_fails_tasks_not_yet_running_and_wait_returns():
