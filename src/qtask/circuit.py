@@ -184,10 +184,6 @@ def new_circuit(num_qubits: int) -> Circuit:
     return Circuit(num_qubits)
 
 
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    return circuit.append(gate)
-
-
 def _remap_gate(gate: Gate, qubit_map: Sequence[int]) -> Gate:
     return dataclasses.replace(gate, qubits=tuple(qubit_map[q] for q in gate.qubits))
 

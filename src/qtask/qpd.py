@@ -452,19 +452,13 @@ def importance_sampled_estimate(
     gamma = decomp.gamma
     weights = np.array([abs(t.coefficient) for t in terms]) / gamma
 
-    dist1 = {t.index: simulate(_entangler_fragment(None, t.observable))[1] for t in terms}
-    dist2 = {
-        (tk.index, ts.index): simulate(
-            _entangler_fragment(tk.prep, ts.observable)
-        )[1]
-        for tk in terms
-        for ts in terms
-    }
-    dist3 = {t.index: simulate(_entangler_fragment(t.prep, None))[1] for t in terms}
-
+    dists: dict[tuple[PrepLabel | None, Pauli | None], ProbDist] = {}
     rng = np.random.default_rng(seed)
 
-    def draw(dist: ProbDist) -> dict[str, float]:
+    def draw(prep: PrepLabel | None, obs: Pauli | None) -> dict[str, float]:
+        dist = dists.get((prep, obs))
+        if dist is None:
+            dist = dists[prep, obs] = simulate(_entangler_fragment(prep, obs))[1]
         keys = sorted(dist.probabilities)
         p = np.array([dist.probabilities[k] for k in keys])
         counts = rng.multinomial(shots, p / p.sum())
@@ -474,9 +468,9 @@ def importance_sampled_estimate(
     for _ in range(n_samples):
         tk = terms[rng.choice(len(terms), p=weights)]
         ts = terms[rng.choice(len(terms), p=weights)]
-        m1 = _moment(draw(dist1[tk.index]), _observable_second(tk))
-        m2 = _moment(draw(dist2[(tk.index, ts.index)]), _observable_second(ts))
-        m3 = _moment(draw(dist3[ts.index]), 1)
+        m1 = _moment(draw(None, tk.observable), _observable_second(tk))
+        m2 = _moment(draw(tk.prep, ts.observable), _observable_second(ts))
+        m3 = _moment(draw(ts.prep, None), 1)
         total += gamma * gamma * tk.sign * ts.sign * m1 * m2 * m3
     return QpdEstimate(
         value=total / n_samples, mode="importance", shots=shots, seed=seed

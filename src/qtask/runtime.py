@@ -235,8 +235,10 @@ class TaskGraph:
         key = (task.kernel.device_class, task.device_req)
         heapq.heappush(self._ready.setdefault(key, []), task.id)
 
-    def _record(self, event: str, task: Task, device_id: int | None):
-        self.trace.append((next(self._seq), event, task.id, device_id))
+    def _record(self, event: str, task: Task, device_id: int | None) -> int:
+        seq = next(self._seq)
+        self.trace.append((seq, event, task.id, device_id))
+        return seq
 
 
 @dataclass
@@ -456,10 +458,8 @@ class Runtime:
         self._host_kernels: dict[str, Callable] = {}
         self._graph_count = itertools.count()
         self._mem_count = itertools.count()
-        self._active: list[TaskGraph] = []
+        self._active: dict[int, TaskGraph] = {}  # submitted graphs not yet ended
         self._closed = False
-        # (kernel class, device requirement) -> capable devices, in registration order
-        self._caps: dict[tuple[str, str | int], list[DeviceBackend]] = {}
 
     # -- registries
 
@@ -468,7 +468,6 @@ class Runtime:
             if backend.id in self._devices:
                 raise ValueError(f"duplicate device id {backend.id}")
             self._devices[backend.id] = backend
-            self._caps.clear()
         backend._start(self)
         return backend.id
 
@@ -523,12 +522,12 @@ class Runtime:
                 task.remaining_deps = len(task.deps)
                 for d in task.deps:
                     graph.dependents[d].append(task.id)
-            self._active.append(graph)
+            if graph.tasks:
+                self._active[graph.graph_id] = graph
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
-                    self._set_state(task, TaskState.READY)
+                    self._make_ready(graph, task)
             self._dispatch_graph(graph)
-            self._cond.notify_all()
         handle = GraphHandle(self, graph)
         if sync:
             self.wait(handle)
@@ -582,7 +581,7 @@ class Runtime:
             if self._closed:
                 return
             self._closed = True
-            for graph in self._active:
+            for graph in list(self._active.values()):
                 graph._ready.clear()
                 for task in graph.tasks.values():
                     if task.state in (TaskState.SUBMITTED, TaskState.READY):
@@ -608,82 +607,76 @@ class Runtime:
                 f"illegal transition {task.state.value} -> {new.value} for {task!r}"
             )
         task.state = new
-        if new is TaskState.READY:
-            task.graph._push_ready(task)
-        elif new in TERMINAL_STATES:
-            task.graph._unfinished -= 1
+        if new in TERMINAL_STATES:
+            graph = task.graph
+            graph._unfinished -= 1
+            if graph._unfinished == 0:
+                # the graph has ended: forget it and wake its waiters
+                del self._active[graph.graph_id]
+                self._cond.notify_all()
 
-    def _capable_devices(self, key: tuple[str, str | int]) -> list[DeviceBackend]:
-        caps = self._caps.get(key)
-        if caps is None:
-            caps = self._caps[key] = _capable_devices(self._devices.values(), key)
-        return caps
+    def _make_ready(self, graph: TaskGraph, task: Task):
+        # under roundrobin the device is already chosen; otherwise the task
+        # waits in its bucket for _dispatch_graph
+        self._set_state(task, TaskState.READY)
+        if graph.plan is None:
+            graph._push_ready(task)
+        else:
+            self._place(graph, task, graph.plan[task.id])
 
-    def _dispatch_all(self):
-        for graph in list(self._active):
-            if graph.all_terminal():
-                self._active.remove(graph)
-                continue
-            self._dispatch_graph(graph)
+    def _place(self, graph: TaskGraph, task: Task, device: DeviceBackend | None):
+        if device is None:
+            self._fail_task(graph, task, None, "no-capable-device", 0)
+            return
+        task.assigned_device = device.id
+        device.pending += 1
+        device._queue.put(task)
 
     def _dispatch_graph(self, graph: TaskGraph):
-        # Under roundrobin every ready task goes to its planned device. Otherwise
-        # schedule_next sees, per capability bucket, only the lowest-id ready
-        # tasks it could place: all of them when no device is capable (they
-        # fail) or when pinned to a device id; otherwise one per idle capable
-        # device, since a later task of the bucket cannot get a device in this
+        # schedule_next sees, per bucket, only the lowest-id ready tasks it
+        # could place: all of them when no device is capable (they fail) or
+        # when pinned to a device id; otherwise one per idle capable device,
+        # since a later task of the bucket cannot get a device in this
         # dispatch. Decisions equal those of handing it every ready task in id
         # order, at a cost that does not grow with the graph.
         ids = []
         for key, heap in graph._ready.items():
-            if not heap:
-                continue
-            caps = self._capable_devices(key)
             take = len(heap)
-            if caps and graph.policy != "roundrobin" and not isinstance(key[1], int):
-                take = min(take, sum(d.pending == 0 for d in caps))
+            if take and not isinstance(key[1], int):
+                caps = _capable_devices(self._devices.values(), key)
+                if caps:
+                    take = min(take, sum(d.pending == 0 for d in caps))
             ids.extend(heapq.heappop(heap) for _ in range(take))
         if not ids:
             return
         ready = [graph.tasks[i] for i in sorted(ids)]
-        if graph.plan is None:
-            assignments, _ = schedule_next(ready, self.devices, graph.policy, 0)
-        else:
-            assignments = [(task, graph.plan[task.id]) for task in ready]
+        assignments, _ = schedule_next(ready, self.devices, graph.policy, 0)
         for task, device in assignments:
-            if device is None:
-                self._fail_task(graph, task, None, "no-capable-device", 0)
-                continue
-            task.assigned_device = device.id
-            device.pending += 1
-            device._queue.put(task)
+            self._place(graph, task, device)
         for task in ready:
             if task.state is TaskState.READY and task.assigned_device is None:
                 graph._push_ready(task)
 
+    def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
+        self._set_state(task, result.status)
+        task.result = result
+        task.terminal_seq = graph._record(result.status.value, task, result.device_id)
+
     def _complete_task(self, graph: TaskGraph, task: Task, device, payload, transfers):
-        self._set_state(task, TaskState.COMPLETED)
-        task.terminal_seq = next(graph._seq)
-        task.result = TaskResult(
-            TaskState.COMPLETED,
-            payload=payload,
-            device_id=device.id,
-            transfer_count=transfers,
-        )
-        graph._record("completed", task, device.id)
+        result = TaskResult(TaskState.COMPLETED, payload, device_id=device.id, transfer_count=transfers)
+        self._finish(graph, task, result)
+        # ascending id, so queue and failure order follow task ids
         for dep_id in graph.dependents.get(task.id, ()):
             dependent = graph.tasks[dep_id]
             dependent.remaining_deps -= 1
             if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
-                self._set_state(dependent, TaskState.READY)
+                self._make_ready(graph, dependent)
 
     def _mark_failed(self, graph: TaskGraph, task: Task, error: str, device_id=None, transfers=0):
-        self._set_state(task, TaskState.FAILED)
-        task.terminal_seq = next(graph._seq)
-        task.result = TaskResult(
+        result = TaskResult(
             TaskState.FAILED, error=error, device_id=device_id, transfer_count=transfers
         )
-        graph._record("failed", task, device_id)
+        self._finish(graph, task, result)
 
     def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
         self._mark_failed(graph, task, error, None if device is None else device.id, transfers)
@@ -720,11 +713,10 @@ class Runtime:
                 device.pending -= 1
                 return
             self._set_state(task, TaskState.RUNNING)
-            task.running_seq = next(graph._seq)
             device.running += 1
             if device.running != 1:
                 raise AssertionError(f"device {device.id} double occupancy")
-            graph._record("running", task, device.id)
+            task.running_seq = graph._record("running", task, device.id)
         transfers, error = 0, None
         try:
             transfers = self._prepare_reads(task, device)
@@ -741,8 +733,9 @@ class Runtime:
                 self._complete_task(graph, task, device, payload, transfers)
             else:
                 self._fail_task(graph, task, device, error, transfers)
-            self._dispatch_all()
-            self._cond.notify_all()
+            # a freed device may take a waiting task of any graph
+            for active in list(self._active.values()):
+                self._dispatch_graph(active)
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:

@@ -516,6 +516,38 @@ def test_roundrobin_plan_keeps_error_attribution():
     assert results[c].error == "no-capable-device" and results[c].device_id is None
 
 
+def test_waiter_wakes_once_per_graph(monkeypatch):
+    # a waiter is woken when its graph ends, not after every task
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("sleep", _sleep_ms)
+        graph = runtime.create_graph()
+        prev = []
+        for i in range(30):
+            prev = [graph.create_task(f"t{i}", HostKernel("sleep", params=(1,)), deps=prev)]
+        wakeups = []
+        cond_wait = runtime._cond.wait
+
+        def counting_wait(timeout=None):
+            wakeups.append(timeout)
+            return cond_wait(timeout)
+
+        monkeypatch.setattr(runtime._cond, "wait", counting_wait)
+        results = runtime.wait(runtime.submit(graph))
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+    assert len(wakeups) <= 1
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_runtime_keeps_no_ended_graph(policy):
+    with make_runtime(qpu=0, host=1) as runtime:
+        for _ in range(50):
+            graph = runtime.create_graph()
+            graph.create_task("q", bell_kernel())
+            results = runtime.wait(runtime.submit(graph, policy=policy))
+            assert results[0].error == "no-capable-device"
+        assert len(runtime._active) == 0
+
+
 def test_shutdown_fails_tasks_not_yet_running_and_wait_returns():
     started, release = threading.Event(), threading.Event()
     runtime = make_runtime(qpu=0, host=1)
@@ -618,6 +650,47 @@ def test_random_dag_with_failures_and_shutdown_always_ends(data):
     assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
     if stop_after is None:
         assert all(r.error != "runtime-shutdown" for r in box["results"].values())
+    _check_trace(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shutdown_after_some_tasks_end_ends_the_graph(data):
+    # the runtime's condition is notified only when a graph ends, so the
+    # shutdown point is found by polling; waiting on the condition for it
+    # would put every shutdown after the graph's end
+    n_tasks = data.draw(st.integers(2, 30), label="tasks")
+    n_qpu = data.draw(st.integers(1, 4), label="qpu")
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
+    stop_after = data.draw(st.integers(1, n_tasks - 1), label="shutdown after")
+    runtime = make_runtime(qpu=n_qpu, host=1)
+    try:
+        runtime.register_host_kernel("nop", lambda p, d: p)
+        runtime.register_host_kernel("nap", _nap)
+        runtime.register_host_kernel("boom", _raise_value_error)
+        graph = runtime.create_graph(seed=n_tasks)
+        for i in range(n_tasks):
+            deps = data.draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+            kind = data.draw(st.sampled_from(["nop", "nap", "boom", "bell"]))
+            graph.create_task(f"t{i}", _KERNELS[kind], deps=deps)
+        handle = runtime.submit(graph, policy=policy)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            with runtime._cond:
+                if sum(t.result is not None for t in graph.tasks.values()) >= stop_after:
+                    break
+            time.sleep(0.0002)
+        runtime.shutdown()
+        box = {}
+        waiter = threading.Thread(target=lambda: box.update(results=runtime.wait(handle)))
+        waiter.daemon = True
+        waiter.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive(), "wait() without a timeout did not return"
+    finally:
+        runtime.shutdown()
+    assert len(box["results"]) == n_tasks
+    assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
     _check_trace(graph)
 
 
