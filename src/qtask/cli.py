@@ -13,14 +13,16 @@ so identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import graphlib
 import json
 import sys
 from pathlib import Path
 
-from .qir import QirLoweringError, QirParseError, find_kernel_file
+from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import GraphSpecError, TaskState, make_runtime, parse_graph_spec, run_qir
+from .runtime import GraphSpecError, QirKernel, TaskState, lower_qir, make_runtime
+from .runtime import parse_graph_spec, run_qir
 from .simulator import ProbDist, ShotHistogram, format_histogram, format_probabilities
 
 ACCELERATORS = ("statevector", "trajectory")
@@ -77,8 +79,9 @@ def cmd_exec(args) -> int:
     if args.probs and args.accelerator != "statevector":
         print("error: --probs requires the statevector accelerator", file=sys.stderr)
         return 2
-    text = find_kernel_file(args.file).read_text()
-    result = run_qir(text, None if args.probs else args.shots, args.seed, args.accelerator)
+    kernel = lower_qir(QirKernel(path=args.file, shots=args.shots))
+    kernel = dataclasses.replace(kernel, mode="exact" if args.probs else "sampled")
+    result = run_qir(kernel, args.seed, args.accelerator)
     if args.probs:
         print(format_probabilities(result))
         return 0
@@ -122,12 +125,11 @@ def cmd_graph(args) -> int:
         ids: dict[str, int] = {}
         for name in order:
             entry = by_name[name]
-            ids[name] = graph.create_task(
-                entry.name,
-                entry.kernel,
-                deps=[ids[d] for d in entry.depends],
-                device_req=entry.device,
-            )
+            deps = [ids[d] for d in entry.depends]
+            try:
+                ids[name] = graph.create_task(name, entry.kernel, deps, entry.device)
+            except (QirParseError, QirLoweringError, FileNotFoundError) as exc:
+                raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
         handle = runtime.submit(graph, policy=policy, sync=True)
         results = runtime.wait(handle)
     finally:

@@ -68,9 +68,9 @@ class HostKernel:
 
 @dataclass(frozen=True)
 class QirKernel:
-    """QIR program given as inline text or a .ll path; sampled unless shots=0."""
+    """QIR program given as inline text or a .ll path; sampled unless shots=0.
+    ``create_task`` reads and lowers it once, to a CircuitKernel (``lower_qir``)."""
 
-    device_class = QPU
     source: str | None = None
     path: str | Path | None = None
     shots: int = 1024
@@ -90,6 +90,7 @@ class CircuitKernel:
     shots: int = 1024
     seed: int | None = None
     mode: str = "sampled"
+    positions: tuple[int, ...] | None = None  # set by lower_qir: the program's output_positions
 
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
@@ -101,8 +102,8 @@ class CircuitKernel:
 @dataclass(frozen=True)
 class NamedKernel:
     """Kernel given by name, resolved by ``TaskGraph.create_task``: names
-    ending in .ll become a QirKernel on that path (read at dispatch, needing
-    a qpu-class device); anything else becomes a HostKernel, looked up in the
+    ending in .ll become a QirKernel on that path, read and lowered there to
+    a CircuitKernel; anything else becomes a HostKernel, looked up in the
     registry at dispatch."""
 
     name: str
@@ -194,7 +195,7 @@ class TaskGraph:
         reads: Iterable["MemObject"] = (),
         writes: Iterable["MemObject"] = (),
     ) -> int:
-        """Add a task in Created state; returns its id."""
+        """Add a task in Created state; returns its id. QIR is lowered, and may raise, here."""
         if self.submitted:
             raise ValueError("graph already submitted")
         if name in self._by_name:
@@ -206,7 +207,9 @@ class TaskGraph:
                 kernel = QirKernel(path=kernel.name, shots=kernel.shots, seed=kernel.seed)
             else:
                 kernel = HostKernel(kernel.name, kernel.params)
-        if not isinstance(kernel, (HostKernel, QirKernel, CircuitKernel)):
+        if isinstance(kernel, QirKernel):
+            kernel = lower_qir(kernel)
+        if not isinstance(kernel, (HostKernel, CircuitKernel)):
             raise ValueError(f"not a kernel spec: {kernel!r}")
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):
             raise ValueError(f"invalid device requirement {device_req!r}")
@@ -335,44 +338,38 @@ class DeviceBackend:
         raise NotImplementedError
 
 
-def run_qir(
-    text: str, shots: int | None, seed: int, accelerator: str = "statevector"
-) -> ProbDist | ShotHistogram:
-    """Execute a QIR program: parse, lower, then simulate or run trajectories.
+def lower_qir(spec: QirKernel) -> CircuitKernel:
+    """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution."""
+    prog = parse_qir(spec.source if spec.path is None else find_kernel_file(spec.path).read_text())
+    circuit = lower_to_circuit(prog)  # rejects recorded slots that are never measured
+    positions = output_positions(prog)
+    positions = None if positions is None else tuple(positions)
+    mode = "exact" if spec.shots == 0 else "sampled"
+    return CircuitKernel(circuit, spec.shots, spec.seed, mode, positions)
 
-    Returns the exact distribution when ``shots`` is None (statevector only)
-    and a histogram sampled from ``seed`` otherwise; keys follow the
-    program's result-recording order.
-    """
+
+def run_qir(spec: CircuitKernel, seed: int, accelerator="statevector") -> ProbDist | ShotHistogram:
+    """The one execution path of qpu tasks and ``qtask exec``: statevector returns the
+    exact distribution in ``exact`` mode; otherwise both accelerators sample from ``seed``."""
     if accelerator not in ("statevector", "trajectory"):
         raise ValueError(f"unknown accelerator {accelerator!r}")
-    if shots is None and accelerator != "statevector":
-        raise ValueError("the exact distribution requires the statevector accelerator")
-    prog = parse_qir(text)
-    circuit = lower_to_circuit(prog)
-    positions = output_positions(prog)
     if accelerator == "trajectory":
-        hist = run_trajectory(circuit, shots, seed)
-        return hist if positions is None else marginalize_counts(hist, positions)
-    _, dist = simulate(circuit)
-    if positions is not None:
-        dist = marginalize(dist, positions)
-    return dist if shots is None else sample_shots(dist, shots, seed)
+        hist = run_trajectory(spec.circuit, spec.shots, seed)
+        return hist if spec.positions is None else marginalize_counts(hist, spec.positions)
+    _, dist = simulate(spec.circuit)
+    if spec.positions is not None:
+        dist = marginalize(dist, spec.positions)
+    return dist if spec.mode == "exact" else sample_shots(dist, spec.shots, seed)
 
 
 class QpuDevice(DeviceBackend):
-    """Simulated QPU: executes QIR and circuit kernels on a statevector."""
+    """Simulated QPU: runs CircuitKernels (QIR arrives lowered) through run_qir."""
 
     device_class = QPU
 
     def run_kernel(self, task, graph, runtime):
-        spec = task.kernel
-        seed = spec.seed if spec.seed is not None else graph.derived_seed(task)
-        if isinstance(spec, CircuitKernel):
-            _, dist = simulate(spec.circuit)
-            return dist if spec.mode == "exact" else sample_shots(dist, spec.shots, seed)
-        text = spec.source if spec.path is None else find_kernel_file(spec.path).read_text()
-        return run_qir(text, None if spec.shots == 0 else spec.shots, seed)
+        seed = task.kernel.seed
+        return run_qir(task.kernel, graph.derived_seed(task) if seed is None else seed)
 
 
 class HostDevice(DeviceBackend):

@@ -288,6 +288,26 @@ def test_graph_boolean_for_integer_is_usage_error(capsys, tmp_path):
     assert "'device'" in err
 
 
+@pytest.mark.parametrize(
+    "kernel", [{"type": "qir", "source": "not qir"}, {"type": "qir", "file": "missing.ll"}]
+)
+def test_graph_malformed_qir_is_usage_error(capsys, tmp_path, kernel):
+    # a QIR kernel is lowered when its task is created, so a bad program stops
+    # the command before anything runs, naming the task
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [
+            {"name": "good", "kernel": {"type": "qir", "file": "bell.ll"}},
+            {"name": "broken", "kernel": kernel, "depends": ["good"]},
+        ],
+    }
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'broken'" in err
+
+
 # -- one QIR execution path ---------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import qtask.runtime
 from qtask.circuit import Circuit, Gate
-from qtask.qir import find_kernel_file
+from qtask.qir import QirParseError, find_kernel_file
 from qtask.runtime import (
     ANY,
     HOST,
@@ -307,6 +307,22 @@ def test_submit_rejects_unknown_policy():
     with Runtime() as runtime:
         with pytest.raises(ValueError, match="unknown policy"):
             runtime.submit(runtime.create_graph(), policy="fifo")
+
+
+def test_qir_kernel_is_lowered_at_create_task(tmp_path):
+    with make_runtime(qpu=1, host=0) as runtime:
+        graph = runtime.create_graph(seed=5)
+        with pytest.raises(QirParseError):
+            graph.create_task("bad", QirKernel(source="not qir"))
+        path = tmp_path / "bell.ll"
+        path.write_text(BELL_TEXT)
+        by_file = graph.create_task("file", QirKernel(path=path, shots=64, seed=3))
+        path.unlink()  # the program was read when the task was created
+        inline = graph.create_task("inline", QirKernel(source=BELL_TEXT, shots=64, seed=3))
+        assert isinstance(graph.tasks[by_file].kernel, CircuitKernel)
+        results = runtime.wait(runtime.submit(graph))
+    assert results[by_file].status is TaskState.COMPLETED
+    assert results[by_file].payload.counts == results[inline].payload.counts
 
 
 def test_circuit_kernel_exact_mode():
@@ -632,11 +648,13 @@ def test_random_dag_with_failures_and_shutdown_always_ends(data):
             graph.create_task(f"t{i}", _KERNELS[kind], deps=deps)
         handle = runtime.submit(graph, policy=policy)
         if stop_after is not None:
-            with runtime._cond:
-                runtime._cond.wait_for(
-                    lambda: sum(t.result is not None for t in graph.tasks.values()) >= stop_after,
-                    timeout=10,
-                )
+            # poll: the condition is notified only when a graph ends
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                with runtime._cond:
+                    if sum(t.result is not None for t in graph.tasks.values()) >= stop_after:
+                        break
+                time.sleep(0.0002)
             runtime.shutdown()
         box = {}
         waiter = threading.Thread(target=lambda: box.update(results=runtime.wait(handle)))
