@@ -21,9 +21,10 @@ from pathlib import Path
 
 from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import GraphSpecError, QirKernel, TaskState, lower_qir, make_runtime
+from .runtime import MAX_DEVICES, GraphSpecError, QirKernel, TaskState, lower_qir, make_runtime
 from .runtime import parse_graph_spec, run_qir
-from .simulator import ProbDist, ShotHistogram, format_histogram, format_probabilities
+from .simulator import NonTerminalMeasurementError, ProbDist, ShotHistogram, TooManyQubitsError
+from .simulator import format_histogram, format_probabilities
 
 ACCELERATORS = ("statevector", "trajectory")
 
@@ -39,6 +40,13 @@ def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _device_count(value: str) -> int:
+    n = _positive_int(value)
+    if n > MAX_DEVICES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEVICES}, got {n}")
     return n
 
 
@@ -65,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qpd = sub.add_parser("ghz-qpd", help="wire-cut GHZ estimation of the Z-string mean")
     p_qpd.add_argument("--shots", type=_nonneg_int, default=1024)
     p_qpd.add_argument("--reps", type=_positive_int, default=1)
-    p_qpd.add_argument("--devices", type=_positive_int, default=4)
+    p_qpd.add_argument("--devices", type=_device_count, default=4)
     p_qpd.add_argument("--mode", choices=("exact", "sampled"), default="sampled")
     p_qpd.add_argument("--seed", type=int, default=0)
     p_qpd.add_argument("--csv", default=None, help="write per-repetition values to this path")
@@ -151,6 +159,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_ghz_qpd(args) -> int:
+    if args.mode == "sampled" and args.shots < 1:
+        print("error: --shots must be at least 1 in sampled mode", file=sys.stderr)
+        return 2
     estimate = validate_run(
         reps=args.reps,
         shots=args.shots,
@@ -181,6 +192,8 @@ def main(argv=None) -> int:
         graphlib.CycleError,
         json.JSONDecodeError,
         FileNotFoundError,
+        NonTerminalMeasurementError,
+        TooManyQubitsError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,7 @@ HOST = "host"
 QPU = "qpu"
 
 POLICIES = ("default", "roundrobin", "explicit")
+MAX_DEVICES = 256  # per class, from graph JSON or the CLI: each device is an OS thread
 
 CycleError = graphlib.CycleError
 
@@ -159,7 +160,6 @@ class Task:
         self.graph: "TaskGraph | None" = None
         self.state = TaskState.CREATED
         self.result: TaskResult | None = None
-        self.assigned_device: int | None = None
         self.remaining_deps = 0
         self.running_seq: int | None = None
         self.terminal_seq: int | None = None
@@ -176,14 +176,13 @@ class TaskGraph:
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
         self.dependents: dict[int, list[int]] = {}
-        self.policy = "default"
         # roundrobin: task id -> device fixed at submit (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] | None = None
         self.submitted = False
         self.trace: list[tuple[int, str, int, int | None]] = []
         self._seq = itertools.count()
         self._unfinished = 0  # tasks not yet completed or failed
-        # id heaps of ready, unassigned tasks per (kernel class, device requirement)
+        # id heaps of ready, unassigned tasks per _placement_key
         self._ready: dict[tuple[str, str | int], list[int]] = {}
 
     def create_task(
@@ -235,8 +234,7 @@ class TaskGraph:
         return self._unfinished == 0
 
     def _push_ready(self, task: Task):
-        key = (task.kernel.device_class, task.device_req)
-        heapq.heappush(self._ready.setdefault(key, []), task.id)
+        heapq.heappush(self._ready.setdefault(_placement_key(task), []), task.id)
 
     def _record(self, event: str, task: Task, device_id: int | None) -> int:
         seq = next(self._seq)
@@ -392,11 +390,18 @@ class HostDevice(DeviceBackend):
 # Scheduling
 
 
+def _placement_key(task: Task) -> tuple[str, str | int]:
+    """Which tasks are interchangeable for placement: (kernel class, requirement),
+    where a requirement naming the kernel's own class counts as ``any``."""
+    kind, req = task.kernel.device_class, task.device_req
+    return kind, ANY if req == kind else req
+
+
 def _capable_devices(devices: Iterable[DeviceBackend], key: tuple[str, str | int]):
-    """Devices, in the given order, that run kernels of class ``key[0]`` and meet
-    requirement ``key[1]``: any device, the device's class, or its id."""
+    """Devices, in the given order, of class ``key[0]`` that meet the requirement
+    ``key[1]`` of a ``_placement_key``: ``any`` or the device's id."""
     kind, req = key
-    return [d for d in devices if d.device_class == kind and req in (ANY, kind, d.id)]
+    return [d for d in devices if d.device_class == kind and req in (ANY, d.id)]
 
 
 def schedule_next(
@@ -407,19 +412,19 @@ def schedule_next(
 ) -> tuple[list[tuple[Task, DeviceBackend | None]], int]:
     """Pure assignment decision for the currently ready tasks.
 
-    Returns (assignments, new round-robin cursor). A None device marks a
-    task with no capable device at all, to be failed; tasks absent from the
-    list stay queued until a later dispatch. ``default`` picks the lowest-id
-    capable idle device; ``roundrobin`` cycles a cursor over capable devices
-    regardless of occupancy (queues drain in dispatch order), and the runtime
-    calls it once per graph, at submit, on every task in id order; explicit
-    integer requirements pin the task under every policy.
+    Returns (assignments, cursor plus the round-robin picks). A None device
+    marks a task with no capable device, to be failed; tasks left out stay
+    queued. ``default`` picks the lowest-id capable idle device. Under
+    ``roundrobin`` each placement key takes turns over its capable devices
+    from ``cursor``, whatever their load; the runtime calls it once per graph,
+    at submit, on all tasks in id order. Integer requirements always pin.
     """
     assignments: list[tuple[Task, DeviceBackend | None]] = []
     claimed: set[int] = set()
     caps_by_key: dict[tuple[str, str | int], list[DeviceBackend]] = {}
+    turns: dict[tuple[str, str | int], int] = {}
     for task in ready:
-        key = (task.kernel.device_class, task.device_req)
+        key = _placement_key(task)
         caps = caps_by_key.get(key)
         if caps is None:
             caps = caps_by_key[key] = _capable_devices(devices, key)
@@ -430,15 +435,16 @@ def schedule_next(
             assignments.append((task, caps[0]))
             continue
         if policy == "roundrobin":
-            assignments.append((task, caps[cursor % len(caps)]))
-            cursor += 1
+            turn = turns.get(key, cursor)
+            turns[key] = turn + 1
+            assignments.append((task, caps[turn % len(caps)]))
             continue
         idle = [d for d in caps if d.pending == 0 and d.id not in claimed]
         if idle:
             device = min(idle, key=lambda d: d.id)
             claimed.add(device.id)
             assignments.append((task, device))
-    return assignments, cursor
+    return assignments, cursor + sum(turn - cursor for turn in turns.values())
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +513,6 @@ class Runtime:
             sorter.prepare()  # raises graphlib.CycleError before any state change
 
             graph.submitted = True
-            graph.policy = policy
             if policy == "roundrobin":
                 # one call in id order, so placement does not depend on the
                 # order in which tasks become ready
@@ -614,7 +619,7 @@ class Runtime:
 
     def _make_ready(self, graph: TaskGraph, task: Task):
         # under roundrobin the device is already chosen; otherwise the task
-        # waits in its bucket for _dispatch_graph
+        # waits in its ready heap for _dispatch_graph
         self._set_state(task, TaskState.READY)
         if graph.plan is None:
             graph._push_ready(task)
@@ -625,17 +630,15 @@ class Runtime:
         if device is None:
             self._fail_task(graph, task, None, "no-capable-device", 0)
             return
-        task.assigned_device = device.id
         device.pending += 1
         device._queue.put(task)
 
     def _dispatch_graph(self, graph: TaskGraph):
-        # schedule_next sees, per bucket, only the lowest-id ready tasks it
-        # could place: all of them when no device is capable (they fail) or
-        # when pinned to a device id; otherwise one per idle capable device,
-        # since a later task of the bucket cannot get a device in this
-        # dispatch. Decisions equal those of handing it every ready task in id
-        # order, at a cost that does not grow with the graph.
+        # schedule_next sees, per ready heap, only the lowest-id tasks it will
+        # place: all when no device is capable (they fail) or when pinned to an
+        # id, else one per idle capable device, as unpinned keys share no
+        # device. Decisions equal handing it every ready task, at a cost that
+        # does not grow with the graph.
         ids = []
         for key, heap in graph._ready.items():
             take = len(heap)
@@ -647,12 +650,9 @@ class Runtime:
         if not ids:
             return
         ready = [graph.tasks[i] for i in sorted(ids)]
-        assignments, _ = schedule_next(ready, self.devices, graph.policy, 0)
+        assignments, _ = schedule_next(ready, self.devices, "default", 0)
         for task, device in assignments:
             self._place(graph, task, device)
-        for task in ready:
-            if task.state is TaskState.READY and task.assigned_device is None:
-                graph._push_ready(task)
 
     def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
         self._set_state(task, result.status)
@@ -869,8 +869,8 @@ def parse_graph_spec(text: str) -> GraphSpec:
     qpu = devices.get("qpu", 0)
     host = devices.get("host", 0)
     for key, count in (("qpu", qpu), ("host", host)):
-        if not _is_int(count) or count < 0:
-            raise GraphSpecError(f"device counts must be non-negative integers: {key!r}")
+        if not _is_int(count) or not 0 <= count <= MAX_DEVICES:
+            raise GraphSpecError(f"device count {key!r} must be an integer in 0..{MAX_DEVICES}")
 
     raw_tasks = obj.get("tasks")
     if not isinstance(raw_tasks, list):

@@ -64,6 +64,10 @@ class NonTerminalMeasurementError(ValueError):
     """simulate() found work on a qubit after its measurement; use run_trajectory."""
 
 
+class TooManyQubitsError(ValueError):
+    """A circuit is wider than MAX_QUBITS; raised before any state is allocated."""
+
+
 @dataclass
 class StateVector:
     num_qubits: int
@@ -72,7 +76,7 @@ class StateVector:
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
         if num_qubits > MAX_QUBITS:
-            raise ValueError(
+            raise TooManyQubitsError(
                 f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
             )
         amps = np.zeros(1 << num_qubits, dtype=complex)

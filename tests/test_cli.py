@@ -9,7 +9,8 @@ from qtask import cli
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
 from qtask.qir import emit_qir, output_positions, parse_qir
-from qtask.runtime import HostDevice, QirKernel, QpuDevice, TaskState, make_runtime
+from qtask.runtime import MAX_DEVICES, HostDevice, QirKernel, QpuDevice, TaskState, make_runtime
+from qtask.simulator import MAX_QUBITS
 
 FANOUT_GRAPH = {
     "seed": 7,
@@ -87,6 +88,39 @@ def test_exec_parse_error_reports_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exec", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def test_exec_measurement_then_gate_needs_trajectory(capsys, tmp_path):
+    path = tmp_path / "midcircuit.ll"
+    circuit = Circuit(1).append(Gate.h(0), Gate.mz(0, 0), Gate.x(0), Gate.mz(0, 1))
+    path.write_text(emit_qir(circuit))
+    code, out, err = run_cli(capsys, "exec", str(path), "-s", "8")
+    assert code == 2 and out == ""
+    assert "trajectory" in err
+    code, out, _ = run_cli(capsys, "exec", str(path), "-a", "trajectory", "-s", "8")
+    assert code == 0 and out.endswith("shots 8\n")
+
+
+@pytest.mark.parametrize("accelerator", ["statevector", "trajectory"])
+def test_exec_too_wide_is_usage_error(capsys, tmp_path, accelerator):
+    # the width is checked before the state is allocated
+    width = MAX_QUBITS + 6
+    path = tmp_path / "wide.ll"
+    path.write_text(emit_qir(Circuit(width).append(Gate.h(width - 1))))
+    code, out, err = run_cli(capsys, "exec", str(path), "-a", accelerator)
+    assert code == 2 and out == ""
+    assert f"{width} qubits" in err and str(MAX_QUBITS) in err
+
+
+def test_exec_trajectory_reorders_keys_like_statevector(capsys, tmp_path):
+    # x q0, mz q0 -> r0, mz q1 -> r1, recorded r1 then r0: every shot reads 01
+    path = tmp_path / "swapped.ll"
+    circuit = Circuit(2).append(Gate.x(0), Gate.mz(0, 0), Gate.mz(1, 1))
+    path.write_text(emit_qir(circuit, output_order=[1, 0]))
+    for accelerator in ("statevector", "trajectory"):
+        code, out, _ = run_cli(capsys, "exec", str(path), "-a", accelerator, "-s", "16")
+        assert code == 0
+        assert out == "01 16\nshots 16\n"
 
 
 def test_exec_byte_identical_across_runs(capsys):
@@ -255,6 +289,20 @@ def test_ghz_qpd_devices_zero_usage_error(capsys):
     assert "at least 1" in err
 
 
+def test_ghz_qpd_sampled_zero_shots_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ghz-qpd", "--shots", "0")
+    assert code == 2 and out == ""
+    assert "--shots" in err
+    code, out, _ = run_cli(capsys, "ghz-qpd", "--mode", "exact", "--shots", "0")
+    assert code == 0 and out.startswith("estimate 1.000000000\n")
+
+
+def test_ghz_qpd_devices_above_cap_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ghz-qpd", "--devices", str(MAX_DEVICES + 1))
+    assert code == 2 and out == ""
+    assert "--devices" in err and str(MAX_DEVICES) in err
+
+
 def test_ghz_qpd_sampled_with_csv(capsys, tmp_path):
     csv_path = tmp_path / "vals.csv"
     code, out, _ = run_cli(
@@ -286,6 +334,33 @@ def test_graph_boolean_for_integer_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "graph", str(path))
     assert code == 2 and out == ""
     assert "'device'" in err
+
+
+def test_graph_device_count_above_cap_is_usage_error(capsys, tmp_path):
+    spec = dict(FANOUT_GRAPH, devices={"qpu": MAX_DEVICES + 1, "host": 0})
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'qpu'" in err
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kernel": {"type": "circuit", "qubits": 2, "mode": "exact", "gates": [
+            ["h", 0], ["cnot", 0, 1], ["mz", 0, 0], ["mz", 1, 1]]}},
+        {"kernel": {"type": "qir", "file": "bell.ll"}, "shots": 0},
+    ],
+    ids=["circuit-exact", "qir-zero-shots"],
+)
+def test_graph_prints_exact_distribution(capsys, tmp_path, task):
+    spec = {"devices": {"qpu": 1, "host": 0}, "tasks": [dict(task, name="bell")]}
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "graph", str(path))
+    assert code == 0
+    assert out == "bell 0 completed\n  probs 00:0.5,11:0.5\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from qtask.qir import QirParseError, find_kernel_file
 from qtask.runtime import (
     ANY,
     HOST,
+    MAX_DEVICES,
     POLICIES,
     QPU,
     TERMINAL_STATES,
@@ -532,6 +533,32 @@ def test_roundrobin_plan_keeps_error_attribution():
     assert results[c].error == "no-capable-device" and results[c].device_id is None
 
 
+def test_roundrobin_each_class_cycles_its_own_devices():
+    # circuit and host tasks alternate; a turn shared by both classes would put
+    # every circuit task on qpu 0
+    with make_runtime(qpu=2, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: None)
+        graph = runtime.create_graph()
+        tids = [
+            graph.create_task(f"t{i}", bell_kernel(8) if i % 2 == 0 else HostKernel("nop"))
+            for i in range(12)
+        ]
+        results = runtime.wait(runtime.submit(graph, policy="roundrobin"))
+    assert all(results[t].status is TaskState.COMPLETED for t in tids)
+    assert [results[t].device_id for t in tids[0::2]] == [0, 1, 0, 1, 0, 1]
+    assert [results[t].device_id for t in tids[1::2]] == [2] * 6
+
+
+def test_default_any_and_own_class_requirements_share_one_queue():
+    with make_runtime(qpu=1, host=0) as runtime:
+        graph = runtime.create_graph()
+        first = graph.create_task("first", bell_kernel(8), device_req=ANY)
+        second = graph.create_task("second", bell_kernel(8), device_req=QPU)
+        results = runtime.wait(runtime.submit(graph, policy="default"))
+    assert all(results[t].status is TaskState.COMPLETED for t in (first, second))
+    assert graph.tasks[first].running_seq < graph.tasks[second].running_seq
+
+
 def test_waiter_wakes_once_per_graph(monkeypatch):
     # a waiter is woken when its graph ends, not after every task
     with make_runtime(qpu=0, host=1) as runtime:
@@ -748,6 +775,18 @@ def test_parse_graph_spec_roundtrip():
     assert isinstance(spec.tasks[0].kernel, QirKernel)
     assert spec.tasks[0].kernel.shots == 32
     assert spec.tasks[1].depends == ("a",)
+
+
+@pytest.mark.parametrize("field", ["qpu", "host"])
+def test_parse_graph_spec_bounds_device_counts(field):
+    # each device is a worker thread, so counts from a file are capped; the
+    # spec is rejected before any runtime exists
+    def spec(count):
+        return json.dumps({"devices": {field: count}, "tasks": []})
+
+    assert getattr(parse_graph_spec(spec(MAX_DEVICES)), field) == MAX_DEVICES
+    with pytest.raises(GraphSpecError, match=f"'{field}'.*{MAX_DEVICES}"):
+        parse_graph_spec(spec(MAX_DEVICES + 1))
 
 
 def test_parse_graph_spec_rejects_unknown_fields():
