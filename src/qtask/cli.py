@@ -138,6 +138,8 @@ def cmd_graph(args) -> int:
                 ids[name] = graph.create_task(name, entry.kernel, deps, entry.device)
             except (QirParseError, QirLoweringError, FileNotFoundError) as exc:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
+            except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
+                raise GraphSpecError(f"no qpu can run the kernel in task {name!r}: {exc}") from exc
         handle = runtime.submit(graph, policy=policy, sync=True)
         results = runtime.wait(handle)
     finally:

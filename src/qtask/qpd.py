@@ -14,10 +14,12 @@ variance scales with gamma squared per cut.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,10 +214,21 @@ def _entangler_fragment(prep: PrepLabel | None, obs: Pauli | None) -> Circuit:
     return circ
 
 
+def _chain(terms: Sequence[QpdTerm]) -> Iterator[tuple[PrepLabel | None, Pauli | None]]:
+    """(prep, observable) of each fragment along the cut ladder: fragment j starts
+    in the state cut j-1 prepares and ends by measuring cut j's observable; the
+    first fragment has no prep and the last no observable."""
+    return zip([None] + [t.prep for t in terms], [t.observable for t in terms] + [None])
+
+
+def _instance_key(terms: Sequence[QpdTerm]) -> tuple[int, int | None]:
+    return terms[0].index, terms[1].index if len(terms) == 2 else None
+
+
 def build_ghz_qpd_instances(
     decomp: WireCutDecomposition, n_cuts: int = 2
 ) -> list[QpdInstance]:
-    """Instance batch for the cut GHZ ladder.
+    """Instance batch for the cut GHZ ladder, in the table's listed order.
 
     Two cuts split the 4-qubit circuit into three 2-qubit fragments and
     yield one instance per (k, s) pair; one cut covers the 3-qubit case with
@@ -223,24 +236,10 @@ def build_ghz_qpd_instances(
     """
     if n_cuts not in (1, 2):
         raise ValueError(f"n_cuts must be 1 or 2, got {n_cuts}")
-    instances = []
-    if n_cuts == 1:
-        for tk in decomp.terms:
-            fragments = (
-                _entangler_fragment(None, tk.observable),
-                _entangler_fragment(tk.prep, None),
-            )
-            instances.append(QpdInstance(tk.index, None, fragments))
-        return instances
-    for tk in decomp.terms:
-        for ts in decomp.terms:
-            fragments = (
-                _entangler_fragment(None, tk.observable),
-                _entangler_fragment(tk.prep, ts.observable),
-                _entangler_fragment(ts.prep, None),
-            )
-            instances.append(QpdInstance(tk.index, ts.index, fragments))
-    return instances
+    return [
+        QpdInstance(*_instance_key(terms), tuple(_entangler_fragment(*f) for f in _chain(terms)))
+        for terms in itertools.product(decomp.terms, repeat=n_cuts)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +257,8 @@ class InstanceResult:
 
 def sign_function(y1: int, y2: int, y3: int, y4: int) -> int:
     """Product (2*y1-1)(2*y2-1)(2*y3-1)(2*y4-1) over the end-measurement bits."""
-    return _parity_sign((y1, y2, y3, y4))
-
-
-def _parity_sign(bits: Sequence[int]) -> int:
     out = 1
-    for b in bits:
+    for b in (y1, y2, y3, y4):
         if b not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b}")
         out *= 2 * b - 1
@@ -271,12 +266,8 @@ def _parity_sign(bits: Sequence[int]) -> int:
 
 
 def _prob_items(dist):
-    if isinstance(dist, ShotHistogram):
-        if dist.shots == 0:
-            raise ValueError("histogram has zero shots; cannot form frequencies")
-        return dist.as_probabilities().items()
-    if isinstance(dist, ProbDist):
-        return dist.probabilities.items()
+    if isinstance(dist, (ProbDist, ShotHistogram)):
+        return dist.as_probabilities().items()  # a zero-shot histogram raises here
     if isinstance(dist, Mapping):
         return dist.items()
     raise TypeError(f"not a distribution: {dist!r}")
@@ -295,9 +286,13 @@ def _moment(dist, second: int) -> float:
     return total
 
 
-def _observable_second(term: QpdTerm) -> int:
-    """``second`` for a fragment that ends by measuring ``term``'s observable."""
-    return 0 if term.observable is Pauli.I else -1
+def _instance_value(weight: float, terms: Sequence[QpdTerm], dists) -> float:
+    """``weight`` times each fragment's moment, left to right along the chain: the
+    last fragment gives its parity, the others their observable's eigenvalue."""
+    value = weight
+    for (_, obs), dist in zip(_chain(terms), dists):
+        value *= _moment(dist, 1 if obs is None else 0 if obs is Pauli.I else -1)
+    return value
 
 
 @dataclass
@@ -319,36 +314,26 @@ def estimate_zzzz(
 ) -> QpdEstimate:
     """Signed recombination of fragment distributions.
 
-    value = sum over (k, s) of c_k c_s times the product of per-fragment
-    signed moments; the per-cut importance weights and sign factors collapse
-    to the plain coefficient product. In exact mode the distributions are
-    analytic and the value matches direct simulation of the uncut circuit.
+    value = sum over (k, s), in ascending order, of c_k c_s times the product
+    of per-fragment signed moments; the per-cut importance weights and sign
+    factors collapse to the plain coefficient product. In exact mode the
+    distributions are analytic and the value matches direct simulation of the
+    uncut circuit.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be exact or sampled, got {mode!r}")
-    one_cut = any(s is None for (_, s) in results)
-    indices = [t.index for t in decomp.terms]
-    expected = (
-        {(k, None) for k in indices}
-        if one_cut
-        else {(k, s) for k in indices for s in indices}
-    )
-    missing = expected - set(results)
+    n_cuts = 1 if any(s is None for (_, s) in results) else 2
+    instances = itertools.product(decomp.terms, repeat=n_cuts)
+    instances = sorted(instances, key=lambda terms: [t.index for t in terms])
+    missing = [key for key in map(_instance_key, instances) if key not in results]
     if missing:
-        raise ValueError(f"missing instance results: {sorted(missing)[:4]}...")
+        raise ValueError(f"missing instance results: {missing[:4]}...")
 
     value = 0.0
-    for k, s in sorted(expected, key=lambda p: (p[0], p[1] or 0)):
-        tk = decomp.term(k)
-        res = results[(k, s)]
-        m1 = _moment(res.p1, _observable_second(tk))
-        if s is None:
-            value += tk.coefficient * m1 * _moment(res.p2, 1)
-            continue
-        ts = decomp.term(s)
-        m2 = _moment(res.p2, _observable_second(ts))
-        m3 = _moment(res.p3, 1)
-        value += tk.coefficient * ts.coefficient * m1 * m2 * m3
+    for terms in instances:
+        res = results[_instance_key(terms)]
+        weight = math.prod(t.coefficient for t in terms)
+        value += _instance_value(weight, terms, (res.p1, res.p2, res.p3))
 
     shots = None
     first = next(iter(results.values()))
@@ -466,12 +451,9 @@ def importance_sampled_estimate(
 
     total = 0.0
     for _ in range(n_samples):
-        tk = terms[rng.choice(len(terms), p=weights)]
-        ts = terms[rng.choice(len(terms), p=weights)]
-        m1 = _moment(draw(None, tk.observable), _observable_second(tk))
-        m2 = _moment(draw(tk.prep, ts.observable), _observable_second(ts))
-        m3 = _moment(draw(ts.prep, None), 1)
-        total += gamma * gamma * tk.sign * ts.sign * m1 * m2 * m3
+        drawn = [terms[rng.choice(len(terms), p=weights)] for _ in range(2)]
+        observed = [draw(prep, obs) for prep, obs in _chain(drawn)]
+        total += _instance_value(math.prod(gamma * t.sign for t in drawn), drawn, observed)
     return QpdEstimate(
         value=total / n_samples, mode="importance", shots=shots, seed=seed
     )

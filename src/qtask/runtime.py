@@ -35,6 +35,7 @@ from .seeding import derive_seed
 from .simulator import (
     ProbDist,
     ShotHistogram,
+    check_simulable,
     marginalize,
     marginalize_counts,
     run_trajectory,
@@ -194,7 +195,7 @@ class TaskGraph:
         reads: Iterable["MemObject"] = (),
         writes: Iterable["MemObject"] = (),
     ) -> int:
-        """Add a task in Created state; returns its id. QIR is lowered, and may raise, here."""
+        """Add a task in Created state; returns its id. QIR lowering and qpu checks raise here."""
         if self.submitted:
             raise ValueError("graph already submitted")
         if name in self._by_name:
@@ -208,6 +209,8 @@ class TaskGraph:
                 kernel = HostKernel(kernel.name, kernel.params)
         if isinstance(kernel, QirKernel):
             kernel = lower_qir(kernel)
+        if isinstance(kernel, CircuitKernel):
+            check_simulable(kernel.circuit)  # a qpu runs statevector only
         if not isinstance(kernel, (HostKernel, CircuitKernel)):
             raise ValueError(f"not a kernel spec: {kernel!r}")
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):

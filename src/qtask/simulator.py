@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +68,13 @@ class TooManyQubitsError(ValueError):
     """A circuit is wider than MAX_QUBITS; raised before any state is allocated."""
 
 
+def _check_width(num_qubits: int) -> None:
+    if num_qubits > MAX_QUBITS:
+        raise TooManyQubitsError(
+            f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
+        )
+
+
 @dataclass
 class StateVector:
     num_qubits: int
@@ -75,10 +82,7 @@ class StateVector:
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
-        if num_qubits > MAX_QUBITS:
-            raise TooManyQubitsError(
-                f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap"
-            )
+        _check_width(num_qubits)
         amps = np.zeros(1 << num_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(num_qubits, amps)
@@ -180,13 +184,11 @@ def _slot_ordered_qubits(circuit: Circuit) -> tuple[int, ...]:
     return tuple(mapping[s] for s in sorted(mapping))
 
 
-def simulate(circuit: Circuit) -> tuple[StateVector, ProbDist]:
-    """Evolve the circuit's unitary part and marginalize over measured qubits.
-
-    All measurements must be terminal: once a qubit is measured, no later
-    gate may touch it (including a second measurement).
-    """
-    state = StateVector.zero(circuit.num_qubits)
+def check_simulable(circuit: Circuit) -> None:
+    """Raise unless :func:`simulate` can run the circuit: it must be at most
+    MAX_QUBITS wide, and once a qubit is measured no later gate may touch it
+    (including a second measurement)."""
+    _check_width(circuit.num_qubits)
     measured: set[int] = set()
     for gate in circuit.ops:
         for q in gate.qubits:
@@ -196,7 +198,15 @@ def simulate(circuit: Circuit) -> tuple[StateVector, ProbDist]:
                 )
         if gate.kind is GateKind.MZ:
             measured.add(gate.qubits[0])
-        else:
+
+
+def simulate(circuit: Circuit) -> tuple[StateVector, ProbDist]:
+    """Evolve the circuit's unitary part and marginalize over measured qubits;
+    all measurements must be terminal (:func:`check_simulable`)."""
+    check_simulable(circuit)
+    state = StateVector.zero(circuit.num_qubits)
+    for gate in circuit.ops:
+        if gate.kind is not GateKind.MZ:
             apply_gate(state, gate)
 
     qubits = _slot_ordered_qubits(circuit)
@@ -289,29 +299,31 @@ def expectation_pauli(state: StateVector, paulis: str | Sequence[Pauli]) -> floa
     return float(np.vdot(state.amplitudes, phi).real)
 
 
+def _regroup(table: Mapping[str, float], positions: Sequence[int]) -> dict[str, float]:
+    """Sum ``table``'s values over new keys whose char j is the old key's char
+    ``positions[j]``; a position outside the keys, negative too, is rejected."""
+    bad = [p for p in positions if not 0 <= p < len(next(iter(table), ""))]
+    if table and bad:
+        raise ValueError(f"position {bad[0]} out of range")
+    out: dict[str, float] = {}
+    for key, value in table.items():
+        new = "".join(key[p] for p in positions)
+        out[new] = out.get(new, 0) + value
+    return out
+
+
 def marginalize(dist: ProbDist, positions: Sequence[int]) -> ProbDist:
     """Project/reorder a distribution: output char j = input char positions[j].
 
     Dropping positions marginalizes them out; permuting reorders the key.
     """
-    for p in positions:
-        if not 0 <= p < len(dist.measured_qubits):
-            raise ValueError(f"position {p} out of range")
-    out: dict[str, float] = {}
-    for key, prob in dist.probabilities.items():
-        new = "".join(key[p] for p in positions)
-        out[new] = out.get(new, 0.0) + prob
-    qubits = tuple(dist.measured_qubits[p] for p in positions)
-    return ProbDist(qubits, out)
+    probabilities = _regroup(dist.probabilities, positions)
+    return ProbDist(tuple(dist.measured_qubits[p] for p in positions), probabilities)
 
 
 def marginalize_counts(hist: ShotHistogram, positions: Sequence[int]) -> ShotHistogram:
     """Histogram analogue of :func:`marginalize`."""
-    out: dict[str, int] = {}
-    for key, c in hist.counts.items():
-        new = "".join(key[p] for p in positions)
-        out[new] = out.get(new, 0) + c
-    return ShotHistogram(out, hist.shots, hist.seed)
+    return ShotHistogram(_regroup(hist.counts, positions), hist.shots, hist.seed)
 
 
 def format_histogram(hist: ShotHistogram) -> str:

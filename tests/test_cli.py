@@ -383,6 +383,32 @@ def test_graph_malformed_qir_is_usage_error(capsys, tmp_path, kernel):
     assert "'broken'" in err
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"type": "circuit", "qubits": MAX_QUBITS + 6, "gates": [["h", MAX_QUBITS + 5]]},
+        {"type": "qir", "source": emit_qir(Circuit(MAX_QUBITS + 6).append(Gate.h(0)))},
+        {"type": "circuit", "qubits": 1, "gates": [["mz", 0, 0], ["h", 0]]},
+    ],
+    ids=["circuit-too-wide", "qir-too-wide", "circuit-measure-then-use"],
+)
+def test_graph_qpu_kernel_no_qpu_can_run_is_usage_error(capsys, tmp_path, kernel):
+    # a qpu runs statevector only, so such a kernel is rejected when its task
+    # is created, before anything runs, naming the task
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [
+            {"name": "good", "kernel": {"type": "qir", "file": "bell.ll"}},
+            {"name": "unrunnable", "kernel": kernel, "depends": ["good"]},
+        ],
+    }
+    path = tmp_path / "unrunnable.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'unrunnable'" in err
+
+
 # -- one QIR execution path ---------------------------------------------------
 
 

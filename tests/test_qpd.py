@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -291,6 +292,19 @@ def test_sampled_estimate_bytes_pinned(n_cuts):
         ]
         results[(inst.k, inst.s)] = InstanceResult(*hists)
     assert estimate_zzzz(results, decomp, mode="sampled").value.hex() == SAMPLED_PINS[n_cuts]
+
+
+def test_reversed_table_keeps_listed_order_and_estimate_bytes():
+    # instances follow the table's listed order, while the estimator sums in
+    # ascending (k, s), so reversing the rows leaves the estimate's bytes alone
+    decomp = canonical_wire_cut()
+    rows = json.loads(decomposition_to_json(decomp))
+    reversed_decomp = decomposition_from_json(json.dumps(rows[::-1]))
+    instances = build_ghz_qpd_instances(reversed_decomp)
+    assert [(i.k, i.s) for i in instances[:3]] == [(8, 8), (8, 7), (8, 6)]
+    canonical = estimate_zzzz(exact_results(decomp), decomp).value
+    reversed_value = estimate_zzzz(exact_results(reversed_decomp), reversed_decomp).value
+    assert reversed_value.hex() == canonical.hex() == "0x1.ffffffffffffep-1"
 
 
 # -- runtime dispatch ---------------------------------------------------------

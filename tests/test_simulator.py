@@ -14,6 +14,7 @@ from qtask.simulator import (
     expectation_pauli,
     format_histogram,
     marginalize,
+    marginalize_counts,
     run_trajectory,
     sample_shots,
     simulate,
@@ -296,6 +297,16 @@ def test_marginalize_reorders_and_projects():
     first = marginalize(dist, [0])
     assert first.probabilities == pytest.approx({"0": 0.25, "1": 0.75})
 
+
+
+def test_marginalize_counts_rejects_out_of_range_positions():
+    hist = ShotHistogram({"01": 3, "10": 1}, 4, seed=0)
+    assert marginalize_counts(hist, [1, 0]).counts == {"10": 3, "01": 1}
+    for position in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            marginalize_counts(hist, [position])
+    with pytest.raises(ValueError, match="out of range"):
+        marginalize(ProbDist((0, 1), {"01": 0.25, "10": 0.75}), [-1])
 
 def test_probdist_validation():
     with pytest.raises(ValueError, match="sum"):
