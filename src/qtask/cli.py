@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import MAX_DEVICES, GraphSpecError, QirKernel, TaskState, lower_qir, make_runtime
-from .runtime import parse_graph_spec, run_qir
+from .runtime import MAX_DEVICES, POLICIES, GraphSpecError, QirKernel, TaskState, lower_qir
+from .runtime import make_runtime, parse_graph_spec, run_qir
 from .simulator import NonTerminalMeasurementError, ProbDist, ShotHistogram, TooManyQubitsError
 from .simulator import format_histogram, format_probabilities
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="execute a JSON task graph")
     p_graph.add_argument("file", help="graph JSON file")
-    p_graph.add_argument("--policy", choices=("default", "roundrobin"), default=None)
+    p_graph.add_argument("--policy", choices=POLICIES, default=None)
     p_graph.add_argument("--seed", type=int, default=None)
     p_graph.set_defaults(func=cmd_graph)
 

@@ -55,12 +55,6 @@ class WireCutDecomposition:
     def gamma(self) -> float:
         return sum(abs(t.coefficient) for t in self.terms)
 
-    def term(self, index: int) -> QpdTerm:
-        for t in self.terms:
-            if t.index == index:
-                return t
-        raise KeyError(index)
-
 
 def canonical_wire_cut() -> WireCutDecomposition:
     """The 8-term measure-and-prepare identity-channel decomposition.

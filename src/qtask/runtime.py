@@ -47,7 +47,7 @@ ANY = "any"
 HOST = "host"
 QPU = "qpu"
 
-POLICIES = ("default", "roundrobin", "explicit")
+POLICIES = ("default", "roundrobin")
 MAX_DEVICES = 256  # per class, from graph JSON or the CLI: each device is an OS thread
 
 CycleError = graphlib.CycleError
@@ -177,14 +177,14 @@ class TaskGraph:
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
         self.dependents: dict[int, list[int]] = {}
-        # roundrobin: task id -> device fixed at submit (None: no capable device)
-        self.plan: dict[int, DeviceBackend | None] | None = None
+        # task id -> device fixed at submit (None: no capable device): every
+        # task under roundrobin, pinned tasks under default
+        self.plan: dict[int, DeviceBackend | None] = {}
         self.submitted = False
+        self._order = 0  # submit order among the runtime's graphs, set by submit
         self.trace: list[tuple[int, str, int, int | None]] = []
         self._seq = itertools.count()
         self._unfinished = 0  # tasks not yet completed or failed
-        # id heaps of ready, unassigned tasks per _placement_key
-        self._ready: dict[tuple[str, str | int], list[int]] = {}
 
     def create_task(
         self,
@@ -235,9 +235,6 @@ class TaskGraph:
 
     def all_terminal(self) -> bool:
         return self._unfinished == 0
-
-    def _push_ready(self, task: Task):
-        heapq.heappush(self._ready.setdefault(_placement_key(task), []), task.id)
 
     def _record(self, event: str, task: Task, device_id: int | None) -> int:
         seq = next(self._seq)
@@ -419,8 +416,9 @@ def schedule_next(
     marks a task with no capable device, to be failed; tasks left out stay
     queued. ``default`` picks the lowest-id capable idle device. Under
     ``roundrobin`` each placement key takes turns over its capable devices
-    from ``cursor``, whatever their load; the runtime calls it once per graph,
-    at submit, on all tasks in id order. Integer requirements always pin.
+    from ``cursor``, whatever their load. Integer requirements always pin. The
+    runtime calls it at submit on the tasks whose device is fixed then (all
+    under roundrobin, pinned ones under default) and at each dispatch.
     """
     assignments: list[tuple[Task, DeviceBackend | None]] = []
     claimed: set[int] = set()
@@ -465,6 +463,9 @@ class Runtime:
         self._graph_count = itertools.count()
         self._mem_count = itertools.count()
         self._active: dict[int, TaskGraph] = {}  # submitted graphs not yet ended
+        self._submits = itertools.count()
+        # waiting ready tasks of all graphs, one (graph._order, id, task) heap per _placement_key
+        self._ready: dict[tuple[str, str | int], list[tuple[int, int, Task]]] = {}
         self._closed = False
 
     # -- registries
@@ -516,11 +517,13 @@ class Runtime:
             sorter.prepare()  # raises graphlib.CycleError before any state change
 
             graph.submitted = True
-            if policy == "roundrobin":
-                # one call in id order, so placement does not depend on the
-                # order in which tasks become ready
-                assignments, _ = schedule_next(list(graph.tasks.values()), self.devices, policy, 0)
-                graph.plan = {task.id: device for task, device in assignments}
+            graph._order = next(self._submits)
+            # one call in id order, so placement does not depend on the order in
+            # which tasks become ready; under default only a pin fixes a device
+            fixed = [t for t in graph.tasks.values()
+                     if policy == "roundrobin" or isinstance(t.device_req, int)]
+            assignments, _ = schedule_next(fixed, self.devices, policy, 0)
+            graph.plan = {task.id: device for task, device in assignments}
             graph.dependents = {tid: [] for tid in graph.tasks}
             for task in graph.tasks.values():
                 self._set_state(task, TaskState.SUBMITTED)
@@ -532,7 +535,7 @@ class Runtime:
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
-            self._dispatch_graph(graph)
+            self._dispatch()
         handle = GraphHandle(self, graph)
         if sync:
             self.wait(handle)
@@ -586,8 +589,8 @@ class Runtime:
             if self._closed:
                 return
             self._closed = True
+            self._ready.clear()
             for graph in list(self._active.values()):
-                graph._ready.clear()
                 for task in graph.tasks.values():
                     if task.state in (TaskState.SUBMITTED, TaskState.READY):
                         self._mark_failed(graph, task, "runtime-shutdown")
@@ -621,13 +624,13 @@ class Runtime:
                 self._cond.notify_all()
 
     def _make_ready(self, graph: TaskGraph, task: Task):
-        # under roundrobin the device is already chosen; otherwise the task
-        # waits in its ready heap for _dispatch_graph
+        # a task with a planned device is queued at once, so it occupies that
+        # device; the others wait in their ready heap for _dispatch
         self._set_state(task, TaskState.READY)
-        if graph.plan is None:
-            graph._push_ready(task)
-        else:
+        if task.id in graph.plan:
             self._place(graph, task, graph.plan[task.id])
+        else:
+            heapq.heappush(self._ready.setdefault(_placement_key(task), []), (graph._order, task.id, task))
 
     def _place(self, graph: TaskGraph, task: Task, device: DeviceBackend | None):
         if device is None:
@@ -636,26 +639,25 @@ class Runtime:
         device.pending += 1
         device._queue.put(task)
 
-    def _dispatch_graph(self, graph: TaskGraph):
-        # schedule_next sees, per ready heap, only the lowest-id tasks it will
-        # place: all when no device is capable (they fail) or when pinned to an
-        # id, else one per idle capable device, as unpinned keys share no
-        # device. Decisions equal handing it every ready task, at a cost that
-        # does not grow with the graph.
-        ids = []
-        for key, heap in graph._ready.items():
+    def _dispatch(self):
+        # schedule_next sees, per ready heap, only the first tasks it will place:
+        # all when no device is capable (they fail), else one per idle capable
+        # device, as the heaps share no device. Decisions equal handing it every
+        # waiting task of every graph, at a cost that does not grow with either.
+        entries = []
+        for key, heap in self._ready.items():
             take = len(heap)
-            if take and not isinstance(key[1], int):
+            if take:
                 caps = _capable_devices(self._devices.values(), key)
                 if caps:
                     take = min(take, sum(d.pending == 0 for d in caps))
-            ids.extend(heapq.heappop(heap) for _ in range(take))
-        if not ids:
+                entries.extend(heapq.heappop(heap) for _ in range(take))
+        if not entries:
             return
-        ready = [graph.tasks[i] for i in sorted(ids)]
-        assignments, _ = schedule_next(ready, self.devices, "default", 0)
+        entries.sort()
+        assignments, _ = schedule_next([task for *_, task in entries], self.devices, "default", 0)
         for task, device in assignments:
-            self._place(graph, task, device)
+            self._place(task.graph, task, device)
 
     def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
         self._set_state(task, result.status)
@@ -733,9 +735,7 @@ class Runtime:
                 self._complete_task(graph, task, device, payload, transfers)
             else:
                 self._fail_task(graph, task, device, error, transfers)
-            # a freed device may take a waiting task of any graph
-            for active in list(self._active.values()):
-                self._dispatch_graph(active)
+            self._dispatch()  # the freed device may take a waiting task of any graph
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:
@@ -862,7 +862,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
     if not _is_int(seed):
         raise GraphSpecError("'seed' must be an integer")
     policy = obj.get("policy", "default")
-    if policy not in ("default", "roundrobin"):
+    if policy not in POLICIES:
         raise GraphSpecError(f"'policy' must be default or roundrobin, got {policy!r}")
 
     devices = obj.get("devices")

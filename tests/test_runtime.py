@@ -223,7 +223,7 @@ def test_explicit_requirement_no_capable_device():
     with make_runtime(qpu=4, host=0) as runtime:
         graph = runtime.create_graph()
         tid = graph.create_task("t", bell_kernel(), device_req=7)
-        results = runtime.wait(runtime.submit(graph, policy="explicit"))
+        results = runtime.wait(runtime.submit(graph, policy="default"))
         assert results[tid].status is TaskState.FAILED
         assert "no-capable-device" in results[tid].error
 
@@ -243,7 +243,7 @@ def test_explicit_device_pinning():
         tids = [
             graph.create_task(f"t{i}", bell_kernel(), device_req=2) for i in range(4)
         ]
-        results = runtime.wait(runtime.submit(graph, policy="explicit"))
+        results = runtime.wait(runtime.submit(graph, policy="default"))
         assert all(results[t].device_id == 2 for t in tids)
 
 

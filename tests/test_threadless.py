@@ -1,0 +1,245 @@
+"""Threadless runtime driver: devices with no worker thread, whose queued tasks
+run one at a time, in an order drawn from a seed, through ``Runtime._execute_on``.
+
+Which device finishes next is the only freedom a threaded run has, so drawing
+it from a seed makes every interleaving reproducible and lets a test inspect
+the runtime between any two task ends.
+"""
+
+import collections
+import os
+import random
+
+import pytest
+from test_runtime import _check_trace
+
+import qtask.runtime
+from qtask.circuit import Circuit, Gate
+from qtask.runtime import (
+    ANY,
+    HOST,
+    QPU,
+    TERMINAL_STATES,
+    CircuitKernel,
+    HostDevice,
+    HostKernel,
+    QpuDevice,
+    Runtime,
+    TaskState,
+    make_runtime,
+)
+
+
+class _Queue(collections.deque):
+    put = collections.deque.append
+
+
+class _Threadless:
+    """Device mixin: tasks the runtime queues wait on a deque that ``_step`` serves."""
+
+    def __init__(self, device_id):
+        super().__init__(device_id)
+        self._queue = _Queue()
+
+    def _start(self, runtime):
+        pass
+
+
+class _Qpu(_Threadless, QpuDevice):
+    pass
+
+
+class _Host(_Threadless, HostDevice):
+    pass
+
+
+def _boom(params, deps):
+    raise ValueError(params)
+
+
+def _runtime(qpu, host, threadless=True):
+    if threadless:
+        runtime = Runtime()
+        for i in range(qpu + host):
+            runtime.register_device(_Qpu(i) if i < qpu else _Host(i))
+    else:
+        runtime = make_runtime(qpu=qpu, host=host)
+    runtime.register_host_kernel("nop", lambda p, d: p)
+    runtime.register_host_kernel("boom", _boom)
+    return runtime
+
+
+def _step(runtime, rng) -> bool:
+    """Run one queued task on a device drawn by ``rng``; False when no task is queued."""
+    busy = [d for d in runtime.devices if d._queue]
+    if not busy:
+        return False
+    device = rng.choice(busy)
+    runtime._execute_on(device, device._queue.popleft())
+    return True
+
+
+_BELL = Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1))
+
+
+def _kernel(kind, params):
+    if kind == "sampled":
+        return CircuitKernel(_BELL, shots=8)
+    if kind == "exact":
+        return CircuitKernel(_BELL, mode="exact")
+    return HostKernel(kind, params)
+
+
+def _scenario(seed):
+    """(qpu, host, graphs): 1-6 graphs of 1-14 tasks, each task a (kernel kind,
+    deps, device requirement), and the graphs' seeds."""
+    rng = random.Random(seed)
+    qpu, host = rng.randint(0, 3), rng.randint(0, 2)
+    graphs = []
+    for _ in range(rng.randint(1, 6)):
+        tasks = []
+        for i in range(rng.randint(1, 14)):
+            kind = rng.choice(["nop", "nop", "boom", "sampled", "exact"])
+            own = HOST if kind in ("nop", "boom") else QPU
+            # a pin may name the one id past the last device, which is unknown
+            reqs = [ANY, ANY, own, HOST if own == QPU else QPU, rng.randrange(qpu + host + 1)]
+            deps = rng.sample(range(i), min(i, rng.randint(0, 3)))
+            tasks.append((kind, deps, rng.choice(reqs)))
+        graphs.append((rng.randrange(1000), tasks))
+    return qpu, host, graphs
+
+
+def _build(runtime, graphs):
+    built = []
+    for g, (seed, tasks) in enumerate(graphs):
+        graph = runtime.create_graph(seed=seed)
+        for i, (kind, deps, req) in enumerate(tasks):
+            graph.create_task(f"t{i}", _kernel(kind, (g, i)), deps=deps, device_req=req)
+        built.append(graph)
+    return built
+
+
+def _outcome(graphs):
+    return [
+        {tid: (t.state, t.result.payload, t.result.error) for tid, t in g.tasks.items()}
+        for g in graphs
+    ]
+
+
+def _no_task_waits_beside_an_idle_device(runtime, graphs):
+    queued = {id(t) for d in runtime.devices for t in d._queue}
+    idle = {d.device_class for d in runtime.devices if d.pending == 0}
+    for graph in graphs:
+        for task in graph.tasks.values():
+            if task.state is not TaskState.READY or id(task) in queued:
+                continue
+            assert isinstance(task.device_req, int) or task.kernel.device_class not in idle, (
+                f"{task!r} waits while a {task.kernel.device_class} device is idle"
+            )
+
+
+def _run_threadless(scenario, policy, seed):
+    """Submit the graphs in a seeded order, running 0-3 tasks before each
+    submit, then drain; under ``default`` check placement after every step."""
+    qpu, host, specs = scenario
+    runtime = _runtime(qpu, host)
+    rng = random.Random(seed)
+    graphs = _build(runtime, specs)
+    order = list(range(len(graphs)))
+    rng.shuffle(order)
+    submitted = []
+
+    def check():
+        if policy == "default":
+            _no_task_waits_beside_an_idle_device(runtime, submitted)
+
+    for i in order:
+        for _ in range(rng.randint(0, 3)):
+            _step(runtime, rng)
+            check()
+        runtime.submit(graphs[i], policy=policy)
+        submitted.append(graphs[i])
+        check()
+    while _step(runtime, rng):
+        check()
+    return graphs, order
+
+
+def _run_threaded(scenario, policy, order):
+    qpu, host, specs = scenario
+    with _runtime(qpu, host, threadless=False) as runtime:
+        graphs = _build(runtime, specs)
+        handles = [runtime.submit(graphs[i], policy=policy) for i in order]
+        for handle in handles:
+            runtime.wait(handle, timeout=30)
+    return graphs
+
+
+def _check_scenario(seed, policy):
+    scenario = _scenario(seed)
+    graphs, order = _run_threadless(scenario, policy, seed)
+    for graph in graphs:
+        assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
+        _check_trace(graph)
+    assert _outcome(graphs) == _outcome(_run_threaded(scenario, policy, order))
+
+
+@pytest.mark.parametrize("policy", ["default", "roundrobin"])
+def test_graphs_in_flight_end_and_match_a_threaded_run(policy):
+    for seed in range(50):
+        _check_scenario(seed, policy)
+
+
+@pytest.mark.fullscale
+@pytest.mark.skipif(
+    not os.environ.get("QTASK_FULL_SCALE"),
+    reason="long threadless sweep; set QTASK_FULL_SCALE=1",
+)
+def test_graphs_in_flight_sweep():
+    for seed in range(2000):
+        for policy in ("default", "roundrobin"):
+            _check_scenario(seed, policy)
+
+
+@pytest.mark.parametrize("pinned_first", [True, False])
+def test_pinned_task_occupies_its_device_as_soon_as_it_is_ready(pinned_first):
+    # the unpinned task must take the other qpu, not queue behind the pin
+    runtime = _runtime(qpu=2, host=0)
+    graph = runtime.create_graph()
+    reqs = [0, ANY] if pinned_first else [ANY, 0]
+    tids = [graph.create_task(f"t{i}", _kernel("sampled", ()), device_req=r) for i, r in enumerate(reqs)]
+    runtime.submit(graph)
+    assert [d.pending for d in runtime.devices] == [1, 1]
+    while _step(runtime, random.Random(0)):
+        pass
+    devices = {req: graph.tasks[tid].result.device_id for req, tid in zip(reqs, tids)}
+    assert devices == {0: 0, ANY: 1}
+
+
+def test_dispatch_cost_does_not_grow_with_graphs_in_flight(monkeypatch):
+    # 100 chains wait on one host device; a dispatch that visits every graph
+    # in flight looks up capable devices about 100 times per task
+    calls = []
+    capable_devices = qtask.runtime._capable_devices
+
+    def counting(devices, key):
+        calls.append(key)
+        return capable_devices(devices, key)
+
+    monkeypatch.setattr(qtask.runtime, "_capable_devices", counting)
+    runtime = _runtime(qpu=0, host=1)
+    graphs = []
+    for g in range(100):
+        graph = runtime.create_graph()
+        prev = []
+        for i in range(10):
+            prev = [graph.create_task(f"t{i}", HostKernel("nop", (g, i)), deps=prev)]
+        runtime.submit(graph)
+        graphs.append(graph)
+    rng = random.Random(5)
+    while _step(runtime, rng):
+        pass
+    assert all(t.state is TaskState.COMPLETED for g in graphs for t in g.tasks.values())
+    # one lookup to trim the queue and one in schedule_next per task placed,
+    # one per submit
+    assert len(calls) <= 2 * 1000 + 100
