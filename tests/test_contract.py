@@ -9,12 +9,13 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
 from qtask.qir import emit_qir
-from qtask.qpd import validate_run
+from qtask.qpd import InstanceResult, canonical_wire_cut, estimate_zzzz, validate_run
 
 # validate_run(reps=5, shots=1024, seed=2024, devices=d).mean.hex()
 VALIDATE_MEAN_HEX = {
@@ -30,6 +31,10 @@ GHZ_QPD_STDOUT_SHA256 = {
         "1e55242a693e26fb1bff8adeabebcfc4cf86ac5ca1b7d20b23451a37a307f156",
 }
 
+# estimate_zzzz(...).value.hex() on _random_instance_results(): its 64 terms are not
+# dyadic, so the value also pins the order in which they are summed
+ESTIMATE_VALUE_HEX = "0x1.c0e04439db407p-7"
+
 # `qtask graph --policy roundrobin` on the graph of _mixed_graph(), per (qpu, host)
 GRAPH_STDOUT_SHA256 = {
     (1, 1): "e611dbefcc9527efb9ff6596f6c7aa7420e39f0788510c6d5b76e11dea076c00",
@@ -41,6 +46,27 @@ GRAPH_STDOUT_SHA256 = {
 def test_validate_run_mean_bytes(devices):
     mean = validate_run(reps=5, shots=1024, seed=2024, devices=devices).mean
     assert mean.hex() == VALIDATE_MEAN_HEX[devices]
+
+
+def _random_instance_results(seed: int = 0) -> dict:
+    """One InstanceResult per two-cut (k, s), each fragment a dict of four
+    normalised probabilities drawn from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    results = {}
+    for k in range(1, 9):
+        for s in range(1, 9):
+            dists = []
+            for _ in range(3):
+                p = rng.random(4)
+                dists.append(dict(zip(("00", "01", "10", "11"), (p / p.sum()).tolist())))
+            results[(k, s)] = InstanceResult(*dists)
+    return results
+
+
+def test_estimate_summation_order_bytes():
+    results = _random_instance_results()
+    value = estimate_zzzz(results, canonical_wire_cut(), mode="exact").value
+    assert value.hex() == ESTIMATE_VALUE_HEX
 
 
 def _stdout_sha256(capsys, argv):

@@ -7,6 +7,7 @@ the runtime between any two task ends.
 """
 
 import collections
+import hashlib
 import os
 import random
 
@@ -188,6 +189,25 @@ def _check_scenario(seed, policy):
 def test_graphs_in_flight_end_and_match_a_threaded_run(policy):
     for seed in range(50):
         _check_scenario(seed, policy)
+
+
+# SHA-256 over seeds 0-299 of each task's (state, error, device id) after
+# _run_threadless(_scenario(seed), policy, seed): where every task ran, or why not
+PLACEMENT_SHA256 = {
+    "default": "b8d4d6646cb677723cf79934a44903d4fe8f5e666ae305da7f2b3cc943cb78ed",
+    "roundrobin": "04e1a232e630df95494bac51ce87b5967ae7cbb206a71d14c2b48198d8072efe",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PLACEMENT_SHA256))
+def test_placement_bytes(policy):
+    digest = hashlib.sha256()
+    for seed in range(300):
+        graphs, _ = _run_threadless(_scenario(seed), policy, seed)
+        for graph in graphs:
+            placed = [(t.state.value, t.result.error, t.result.device_id) for t in graph.tasks.values()]
+            digest.update(repr(placed).encode())
+    assert digest.hexdigest() == PLACEMENT_SHA256[policy]
 
 
 @pytest.mark.fullscale
