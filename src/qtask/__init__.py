@@ -70,7 +70,6 @@ from .runtime import (
     TaskState,
     make_runtime,
     parse_graph_spec,
-    schedule_next,
 )
 from .seeding import derive_seed
 from .simulator import (

@@ -4,7 +4,8 @@ Tasks carry kernels (host callbacks, QIR programs, or circuit payloads) and
 are scheduled onto registered device backends by a configurable policy.
 Submission and waiting may happen from any thread; state transitions are
 serialized through one runtime lock, each device drains its queue on its own
-worker thread, and completions wake the coordinator to promote dependents.
+worker thread, and the worker that ends a task promotes its dependents and
+dispatches waiting tasks under that lock.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
 per location: a task reading an object on a device triggers a transfer only
@@ -19,15 +20,16 @@ from __future__ import annotations
 
 import enum
 import graphlib
-import heapq
 import itertools
 import json
 import queue
 import threading
 import time
+from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import find_kernel_file, lower_to_circuit, output_positions, parse_qir
@@ -177,8 +179,7 @@ class TaskGraph:
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
         self.dependents: dict[int, list[int]] = {}
-        # task id -> device fixed at submit (None: no capable device): every
-        # task under roundrobin, pinned tasks under default
+        # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
         self.submitted = False
         self._order = 0  # submit order among the runtime's graphs, set by submit
@@ -380,9 +381,7 @@ class HostDevice(DeviceBackend):
         fn = runtime._host_kernels.get(spec.name)
         if fn is None:
             raise RuntimeError(f"unknown-kernel: {spec.name!r} is not registered")
-        deps = {
-            graph.tasks[d].name: graph.tasks[d].result.payload for d in sorted(task.deps)
-        }
+        deps = {graph.tasks[d].name: graph.tasks[d].result.payload for d in sorted(task.deps)}
         return fn(spec.params, deps)
 
 
@@ -404,48 +403,22 @@ def _capable_devices(devices: Iterable[DeviceBackend], key: tuple[str, str | int
     return [d for d in devices if d.device_class == kind and req in (ANY, d.id)]
 
 
-def schedule_next(
-    ready: Sequence[Task],
-    devices: Sequence[DeviceBackend],
-    policy: str,
-    cursor: int,
-) -> tuple[list[tuple[Task, DeviceBackend | None]], int]:
-    """Pure assignment decision for the currently ready tasks.
-
-    Returns (assignments, cursor plus the round-robin picks). A None device
-    marks a task with no capable device, to be failed; tasks left out stay
-    queued. ``default`` picks the lowest-id capable idle device. Under
-    ``roundrobin`` each placement key takes turns over its capable devices
-    from ``cursor``, whatever their load. Integer requirements always pin. The
-    runtime calls it at submit on the tasks whose device is fixed then (all
-    under roundrobin, pinned ones under default) and at each dispatch.
-    """
-    assignments: list[tuple[Task, DeviceBackend | None]] = []
-    claimed: set[int] = set()
-    caps_by_key: dict[tuple[str, str | int], list[DeviceBackend]] = {}
-    turns: dict[tuple[str, str | int], int] = {}
-    for task in ready:
+def _plan(tasks: Iterable[Task], devices: Sequence[DeviceBackend], policy: str):
+    """Devices fixed at submit, by task id; None (no capable device) fails a task
+    once ready. In task order each ``_placement_key`` takes turns over its capable
+    devices, whatever their load; a pin is a key with one. Under ``default`` an
+    unpinned task of a class with a device is left out, to wait for an idle one."""
+    plan: dict[int, DeviceBackend | None] = {}
+    turns: dict[tuple[str, str | int], Iterator[DeviceBackend] | None] = {}
+    for task in tasks:
         key = _placement_key(task)
-        caps = caps_by_key.get(key)
-        if caps is None:
-            caps = caps_by_key[key] = _capable_devices(devices, key)
-        if not caps:
-            assignments.append((task, None))
-            continue
-        if isinstance(task.device_req, int):
-            assignments.append((task, caps[0]))
-            continue
-        if policy == "roundrobin":
-            turn = turns.get(key, cursor)
-            turns[key] = turn + 1
-            assignments.append((task, caps[turn % len(caps)]))
-            continue
-        idle = [d for d in caps if d.pending == 0 and d.id not in claimed]
-        if idle:
-            device = min(idle, key=lambda d: d.id)
-            claimed.add(device.id)
-            assignments.append((task, device))
-    return assignments, cursor + sum(turn - cursor for turn in turns.values())
+        if key not in turns:  # one lookup per key
+            caps = _capable_devices(devices, key)
+            turns[key] = itertools.cycle(caps) if caps else None
+        turn = turns[key]
+        if turn is None or policy == "roundrobin" or key[1] != ANY:
+            plan[task.id] = None if turn is None else next(turn)
+    return plan
 
 
 # --------------------------------------------------------------------------
@@ -459,22 +432,26 @@ class Runtime:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._devices: dict[int, DeviceBackend] = {}
+        self._by_class: dict[str, list[DeviceBackend]] = {}  # each class's devices by id
         self._host_kernels: dict[str, Callable] = {}
         self._graph_count = itertools.count()
         self._mem_count = itertools.count()
         self._active: dict[int, TaskGraph] = {}  # submitted graphs not yet ended
         self._submits = itertools.count()
-        # waiting ready tasks of all graphs, one (graph._order, id, task) heap per _placement_key
-        self._ready: dict[tuple[str, str | int], list[tuple[int, int, Task]]] = {}
+        # unplanned ready tasks of all graphs, one (graph._order, id, task) heap per device class
+        self._ready: dict[str, list[tuple[int, int, Task]]] = {}
         self._closed = False
 
     # -- registries
 
     def register_device(self, backend: DeviceBackend) -> int:
         with self._cond:
+            if self._closed:
+                raise ValueError("runtime is shut down")
             if backend.id in self._devices:
                 raise ValueError(f"duplicate device id {backend.id}")
             self._devices[backend.id] = backend
+            insort(self._by_class.setdefault(backend.device_class, []), backend, key=lambda d: d.id)
         backend._start(self)
         return backend.id
 
@@ -518,12 +495,9 @@ class Runtime:
 
             graph.submitted = True
             graph._order = next(self._submits)
-            # one call in id order, so placement does not depend on the order in
-            # which tasks become ready; under default only a pin fixes a device
-            fixed = [t for t in graph.tasks.values()
-                     if policy == "roundrobin" or isinstance(t.device_req, int)]
-            assignments, _ = schedule_next(fixed, self.devices, policy, 0)
-            graph.plan = {task.id: device for task, device in assignments}
+            # in id order, so placement does not depend on the order in which
+            # tasks become ready
+            graph.plan = _plan(graph.tasks.values(), self.devices, policy)
             graph.dependents = {tid: [] for tid in graph.tasks}
             for task in graph.tasks.values():
                 self._set_state(task, TaskState.SUBMITTED)
@@ -554,9 +528,7 @@ class Runtime:
                 if remaining is not None and remaining <= 0:
                     break
                 self._cond.wait(remaining)
-            return {
-                tid: t.result for tid, t in graph.tasks.items() if t.result is not None
-            }
+            return {tid: t.result for tid, t in graph.tasks.items() if t.result is not None}
 
     # -- DMEM
 
@@ -625,12 +597,12 @@ class Runtime:
 
     def _make_ready(self, graph: TaskGraph, task: Task):
         # a task with a planned device is queued at once, so it occupies that
-        # device; the others wait in their ready heap for _dispatch
+        # device; the others wait in their class's ready heap for _dispatch
         self._set_state(task, TaskState.READY)
         if task.id in graph.plan:
             self._place(graph, task, graph.plan[task.id])
         else:
-            heapq.heappush(self._ready.setdefault(_placement_key(task), []), (graph._order, task.id, task))
+            heappush(self._ready.setdefault(task.kernel.device_class, []), (graph._order, task.id, task))
 
     def _place(self, graph: TaskGraph, task: Task, device: DeviceBackend | None):
         if device is None:
@@ -640,24 +612,13 @@ class Runtime:
         device._queue.put(task)
 
     def _dispatch(self):
-        # schedule_next sees, per ready heap, only the first tasks it will place:
-        # all when no device is capable (they fail), else one per idle capable
-        # device, as the heaps share no device. Decisions equal handing it every
-        # waiting task of every graph, at a cost that does not grow with either.
-        entries = []
-        for key, heap in self._ready.items():
-            take = len(heap)
-            if take:
-                caps = _capable_devices(self._devices.values(), key)
-                if caps:
-                    take = min(take, sum(d.pending == 0 for d in caps))
-                entries.extend(heapq.heappop(heap) for _ in range(take))
-        if not entries:
-            return
-        entries.sort()
-        assignments, _ = schedule_next([task for *_, task in entries], self.devices, "default", 0)
-        for task, device in assignments:
-            self._place(task.graph, task, device)
+        # each idle device, lowest id first, takes the head of its class's heap;
+        # every task there has a capable device, as _plan fixed the others
+        for kind, heap in self._ready.items():
+            if heap:
+                for device in [d for d in self._by_class[kind] if d.pending == 0][:len(heap)]:
+                    task = heappop(heap)[2]
+                    self._place(task.graph, task, device)
 
     def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
         self._set_state(task, result.status)
@@ -675,10 +636,7 @@ class Runtime:
                 self._make_ready(graph, dependent)
 
     def _mark_failed(self, graph: TaskGraph, task: Task, error: str, device_id=None, transfers=0):
-        result = TaskResult(
-            TaskState.FAILED, error=error, device_id=device_id, transfer_count=transfers
-        )
-        self._finish(graph, task, result)
+        self._finish(graph, task, TaskResult(TaskState.FAILED, None, error, device_id, transfers))
 
     def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
         self._mark_failed(graph, task, error, None if device is None else device.id, transfers)
@@ -780,11 +738,13 @@ _KERNEL_FIELDS = {
     "circuit": {"type", "qubits", "gates", "mode"},
 }
 
-# gate name -> (constructor, argument count): the qubits, then an angle or a result slot
-_JSON_GATES: dict[str, tuple[Callable, int]] = {
+# gate name -> (constructor, argument count, whether the last argument is an
+# angle): the qubits, then an angle or a result slot
+_JSON_GATES: dict[str, tuple[Callable, int, bool]] = {
     kind.value: (
         getattr(Gate, kind.value),
         (2 if kind in TWO_QUBIT_KINDS else 1) + (kind in ROTATION_KINDS or kind is GateKind.MZ),
+        kind in ROTATION_KINDS,
     )
     for kind in GateKind
 }
@@ -804,11 +764,14 @@ def _json_circuit(spec: Mapping, where: str) -> Circuit:
     qubits = spec.get("qubits")
     if not _is_int(qubits) or qubits < 1:
         raise GraphSpecError(f"circuit kernel in {where} needs a positive 'qubits'")
+    gates = spec.get("gates", [])
+    if not isinstance(gates, list):
+        raise GraphSpecError(f"'gates' of the circuit kernel in {where} must be a list")
     circuit = Circuit(qubits)
-    for entry in spec.get("gates", []):
+    for entry in gates:
         if not isinstance(entry, list) or not entry or entry[0] not in _JSON_GATES:
             raise GraphSpecError(f"bad gate entry {entry!r} in {where}")
-        ctor, arity = _JSON_GATES[entry[0]]
+        ctor, arity, angle = _JSON_GATES[entry[0]]
         args = entry[1:]
         if len(args) != arity:
             raise GraphSpecError(
@@ -816,6 +779,10 @@ def _json_circuit(spec: Mapping, where: str) -> Circuit:
             )
         if any(isinstance(a, bool) for a in args):
             raise GraphSpecError(f"bad gate entry {entry!r} in {where}: boolean operand")
+        ints = args[:-1] if angle else args
+        if not all(map(_is_int, ints)) or angle and not isinstance(args[-1], (int, float)):
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}: qubits and result "
+                                 "slots must be integers, an angle a number")
         try:
             circuit.append(ctor(*args))
         except (TypeError, ValueError) as exc:
@@ -908,8 +875,6 @@ def parse_graph_spec(text: str) -> GraphSpec:
     for entry in entries:
         for dep in entry.depends:
             if dep not in names:
-                raise GraphSpecError(
-                    f"task {entry.name!r} depends on unknown task {dep!r}"
-                )
+                raise GraphSpecError(f"task {entry.name!r} depends on unknown task {dep!r}")
 
     return GraphSpec(seed=seed, policy=policy, qpu=qpu, host=host, tasks=entries)

@@ -409,6 +409,29 @@ def test_graph_qpu_kernel_no_qpu_can_run_is_usage_error(capsys, tmp_path, kernel
     assert "'unrunnable'" in err
 
 
+@pytest.mark.parametrize(
+    "gates",
+    [5, None, [["h", 0.5]], [["cnot", 0, 1.0]], [["mz", 0, 0.0]], [["rx", 0, "1.5"]]],
+    ids=["gates-int", "gates-null", "qubit-float", "target-float", "slot-float", "angle-string"],
+)
+def test_graph_bad_circuit_operand_is_usage_error(capsys, tmp_path, gates):
+    # a gate list or operand of the wrong type stops the command before
+    # anything runs, naming the task, rather than failing or running the task
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [
+            {"name": "good", "kernel": {"type": "qir", "file": "bell.ll"}},
+            {"name": "bad", "kernel": {"type": "circuit", "qubits": 2, "gates": gates},
+             "depends": ["good"]},
+        ],
+    }
+    path = tmp_path / "operands.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'bad'" in err
+
+
 # -- one QIR execution path ---------------------------------------------------
 
 

@@ -28,7 +28,6 @@ from qtask.runtime import (
     TaskState,
     make_runtime,
     parse_graph_spec,
-    schedule_next,
 )
 
 BELL_TEXT = find_kernel_file("bell.ll").read_text()
@@ -53,6 +52,16 @@ def test_duplicate_device_id():
         runtime.register_device(QpuDevice(0))
         with pytest.raises(ValueError, match="duplicate device id"):
             runtime.register_device(HostDevice(0))
+
+
+def test_register_device_after_shutdown_starts_no_worker():
+    runtime = Runtime()
+    runtime.shutdown()
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="runtime is shut down"):
+        runtime.register_device(QpuDevice(5))
+    assert threading.active_count() == threads
+    assert runtime.devices == []
 
 
 def test_host_kernel_registry():
@@ -188,35 +197,13 @@ def _fresh_tasks(graph, n, kernel=None):
     ]
 
 
-def test_schedule_next_roundrobin_cursor():
+def test_plan_roundrobin_turns():
     with Runtime() as runtime:
         devices = [QpuDevice(i) for i in range(4)]
         graph = runtime.create_graph()
         tasks = _fresh_tasks(graph, 16)
-        assignments, cursor = schedule_next(tasks, devices, "roundrobin", 0)
-        assert cursor == 16
-        ids = [dev.id for _, dev in assignments]
-        assert ids == [0, 1, 2, 3] * 4
-
-
-def test_schedule_next_default_busy():
-    with Runtime() as runtime:
-        device = QpuDevice(0)
-        device.pending = 1
-        graph = runtime.create_graph()
-        tasks = _fresh_tasks(graph, 1)
-        assignments, _ = schedule_next(tasks, [device], "default", 0)
-        assert assignments == []
-
-
-def test_schedule_next_default_lowest_idle():
-    with Runtime() as runtime:
-        busy, idle_a, idle_b = QpuDevice(0), QpuDevice(1), QpuDevice(2)
-        busy.pending = 1
-        graph = runtime.create_graph()
-        tasks = _fresh_tasks(graph, 2)
-        assignments, _ = schedule_next(tasks, [busy, idle_a, idle_b], "default", 0)
-        assert [(t.name, d.id) for t, d in assignments] == [("t0", 1), ("t1", 2)]
+        plan = qtask.runtime._plan(tasks, devices, "roundrobin")
+        assert [plan[t.id].id for t in tasks] == [0, 1, 2, 3] * 4
 
 
 def test_explicit_requirement_no_capable_device():
@@ -465,15 +452,21 @@ def test_random_dag_safety(trial):
 @pytest.mark.parametrize("shape", ["chain", "fanout"])
 def test_dispatch_hands_each_task_to_the_policy_once(monkeypatch, shape, policy):
     # counts, not wall-clock time: a dispatch that rescans every waiting task
-    # hands the policy about n*n/2 tasks on the default fan-out
+    # places or pops about n*n/2 times on the default fan-out
     n = 2000
-    handed = []
+    placed, popped = [], []
+    place, heappop = Runtime._place, qtask.runtime.heappop
 
-    def counting(ready, devices, policy, rr_cursor):
-        handed.append(len(ready))
-        return schedule_next(ready, devices, policy, rr_cursor)
+    def counting_place(self, graph, task, device):
+        placed.append(task.id)
+        return place(self, graph, task, device)
 
-    monkeypatch.setattr(qtask.runtime, "schedule_next", counting)
+    def counting_pop(heap):
+        popped.append(heap[0][1])
+        return heappop(heap)
+
+    monkeypatch.setattr(Runtime, "_place", counting_place)
+    monkeypatch.setattr(qtask.runtime, "heappop", counting_pop)
     with make_runtime(qpu=0, host=1) as runtime:
         runtime.register_host_kernel("nop", lambda p, d: None)
         graph = runtime.create_graph()
@@ -484,7 +477,8 @@ def test_dispatch_hands_each_task_to_the_policy_once(monkeypatch, shape, policy)
         results = runtime.wait(runtime.submit(graph, policy=policy), timeout=60)
     assert len(results) == n
     assert all(r.status is TaskState.COMPLETED for r in results.values())
-    assert sum(handed) == n
+    assert len(placed) == n
+    assert len(popped) == (n if policy == "default" else 0)
 
 
 def _sleep_ms(params, deps):

@@ -236,9 +236,37 @@ def test_pinned_task_occupies_its_device_as_soon_as_it_is_ready(pinned_first):
     assert devices == {0: 0, ANY: 1}
 
 
+def test_default_task_waits_while_its_device_is_busy():
+    runtime = _runtime(qpu=1, host=0)
+    graph = runtime.create_graph()
+    first, second = (
+        graph.tasks[graph.create_task(f"t{i}", _kernel("sampled", ()))] for i in range(2)
+    )
+    runtime.submit(graph)
+    (device,) = runtime.devices
+    assert list(device._queue) == [first]
+    assert second.state is TaskState.READY
+    runtime._execute_on(device, device._queue.popleft())
+    assert list(device._queue) == [second]
+
+
+def test_default_tasks_take_the_lowest_id_idle_devices():
+    runtime = _runtime(qpu=3, host=0)
+    busy = runtime.create_graph()
+    busy.create_task("t", _kernel("sampled", ()))
+    runtime.submit(busy)
+    graph = runtime.create_graph()
+    tasks = [graph.tasks[graph.create_task(f"t{i}", _kernel("sampled", ()))] for i in range(2)]
+    runtime.submit(graph)
+    queued = {t.name: d.id for d in runtime.devices for t in d._queue if t.graph is graph}
+    assert queued == {"t0": 1, "t1": 2}
+    assert all(t.state is TaskState.READY for t in tasks)
+
+
 def test_dispatch_cost_does_not_grow_with_graphs_in_flight(monkeypatch):
     # 100 chains wait on one host device; a dispatch that visits every graph
-    # in flight looks up capable devices about 100 times per task
+    # in flight looks up capable devices about 100 times per task, and one that
+    # looks them up at all about once per task
     calls = []
     capable_devices = qtask.runtime._capable_devices
 
@@ -260,6 +288,5 @@ def test_dispatch_cost_does_not_grow_with_graphs_in_flight(monkeypatch):
     while _step(runtime, rng):
         pass
     assert all(t.state is TaskState.COMPLETED for g in graphs for t in g.tasks.values())
-    # one lookup to trim the queue and one in schedule_next per task placed,
-    # one per submit
-    assert len(calls) <= 2 * 1000 + 100
+    # devices are looked up only when a submit plans its graph: one key each
+    assert len(calls) <= 100
