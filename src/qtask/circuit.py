@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,6 +57,8 @@ class Gate:
             raise ValueError(f"negative qubit index in {self.kind.value} gate")
         if (self.angle is not None) != (self.kind in ROTATION_KINDS):
             raise ValueError(f"angle is required for rotations only, got {self.kind.value}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind.value} angle must be finite, got {self.angle}")
         if (self.result_slot is not None) != (self.kind is GateKind.MZ):
             raise ValueError(f"result_slot is required for mz only, got {self.kind.value}")
         if self.result_slot is not None and self.result_slot < 0:

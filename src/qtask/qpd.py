@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Pauli, PrepLabel, basis_change, prep_circuit
 from .seeding import derive_seed
-from .simulator import ProbDist, ShotHistogram, simulate
+from .simulator import ProbDist, ShotHistogram, _sampling_table
 from . import runtime as rt
 
 REDUCE_TASK = "qpd_reduce"
@@ -280,12 +280,12 @@ def _moment(dist, second: int) -> float:
     return total
 
 
-def _instance_value(weight: float, terms: Sequence[QpdTerm], dists) -> float:
-    """``weight`` times each fragment's moment, left to right along the chain: the
+def _instance_value(weight: float, terms: Sequence[QpdTerm], dists, moment=_moment) -> float:
+    """``weight`` times each fragment's ``moment``, left to right along the chain: the
     last fragment gives its parity, the others their observable's eigenvalue."""
     value = weight
     for (_, obs), dist in zip(_chain(terms), dists):
-        value *= _moment(dist, 1 if obs is None else 0 if obs is Pauli.I else -1)
+        value *= moment(dist, 1 if obs is None else 0 if obs is Pauli.I else -1)
     return value
 
 
@@ -323,11 +323,19 @@ def estimate_zzzz(
     if missing:
         raise ValueError(f"missing instance results: {missing[:4]}...")
 
+    moments: dict[tuple[int, int], float] = {}  # by (id of a payload, second): one per payload
+
+    def moment(dist, second: int) -> float:
+        key = id(dist), second
+        if key not in moments:
+            moments[key] = _moment(dist, second)
+        return moments[key]
+
     value = 0.0
     for terms in instances:
         res = results[_instance_key(terms)]
         weight = math.prod(t.coefficient for t in terms)
-        value += _instance_value(weight, terms, (res.p1, res.p2, res.p3))
+        value += _instance_value(weight, terms, (res.p1, res.p2, res.p3), moment)
 
     shots = None
     first = next(iter(results.values()))
@@ -431,16 +439,14 @@ def importance_sampled_estimate(
     gamma = decomp.gamma
     weights = np.array([abs(t.coefficient) for t in terms]) / gamma
 
-    dists: dict[tuple[PrepLabel | None, Pauli | None], ProbDist] = {}
+    fragments: dict[tuple[PrepLabel | None, Pauli | None], Circuit] = {}
     rng = np.random.default_rng(seed)
 
     def draw(prep: PrepLabel | None, obs: Pauli | None) -> dict[str, float]:
-        dist = dists.get((prep, obs))
-        if dist is None:
-            dist = dists[prep, obs] = simulate(_entangler_fragment(prep, obs))[1]
-        keys = sorted(dist.probabilities)
-        p = np.array([dist.probabilities[k] for k in keys])
-        counts = rng.multinomial(shots, p / p.sum())
+        if (prep, obs) not in fragments:
+            fragments[prep, obs] = _entangler_fragment(prep, obs)
+        keys, p = _sampling_table(rt._EXACT.get(fragments[prep, obs], None))
+        counts = rng.multinomial(shots, p)
         return {k: c / shots for k, c in zip(keys, counts) if c}
 
     total = 0.0

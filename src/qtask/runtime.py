@@ -19,6 +19,7 @@ across scheduling policies and device counts.
 from __future__ import annotations
 
 import enum
+import functools
 import graphlib
 import itertools
 import json
@@ -26,9 +27,11 @@ import queue
 import threading
 import time
 from bisect import insort
+from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
@@ -101,6 +104,8 @@ class CircuitKernel:
             raise ValueError(f"mode must be exact or sampled, got {self.mode!r}")
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
+        if self.positions is not None:  # part of the exact cache's key, so hashable
+            object.__setattr__(self, "positions", tuple(self.positions))
 
 
 @dataclass(frozen=True)
@@ -337,14 +342,63 @@ class DeviceBackend:
         raise NotImplementedError
 
 
-def lower_qir(spec: QirKernel) -> CircuitKernel:
-    """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution."""
-    prog = parse_qir(spec.source if spec.path is None else find_kernel_file(spec.path).read_text())
+# Pure qpu work is done once per distinct input, for every runtime and thread.
+_LOWERED_PROGRAMS = 256  # QIR texts whose lowering is kept
+_EXACT_OUTCOMES = 1 << 14  # outcomes the exact-distribution cache holds over all entries
+
+
+@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
+def _lowered(text: str) -> tuple[Circuit, tuple[int, ...] | None]:
+    prog = parse_qir(text)
     circuit = lower_to_circuit(prog)  # rejects recorded slots that are never measured
     positions = output_positions(prog)
-    positions = None if positions is None else tuple(positions)
+    return circuit, None if positions is None else tuple(positions)
+
+
+def lower_qir(spec: QirKernel) -> CircuitKernel:
+    """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution.
+    Each program text is lowered once; every kernel gets its own copy of the circuit."""
+    circuit, positions = _lowered(
+        spec.source if spec.path is None else find_kernel_file(spec.path).read_text()
+    )
     mode = "exact" if spec.shots == 0 else "sampled"
-    return CircuitKernel(circuit, spec.shots, spec.seed, mode, positions)
+    return CircuitKernel(circuit.copy(), spec.shots, spec.seed, mode, positions)
+
+
+class _ExactCache:
+    """Exact distributions by circuit content and output positions, holding at most
+    ``limit`` outcomes over all entries: the least recently used go first, and a
+    wider distribution is never kept. Held distributions are read-only, so their
+    sampling tables are kept too. Safe to use from several qpu worker threads."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.held = 0  # outcomes over all entries
+        self._dists: OrderedDict[tuple, ProbDist] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, circuit: Circuit, positions: tuple[int, ...] | None) -> ProbDist:
+        key = (circuit.num_qubits, tuple(circuit.ops), positions)
+        with self._lock:
+            dist = self._dists.get(key)
+            if dist is not None:
+                self._dists.move_to_end(key)
+                return dist
+        _, dist = simulate(circuit)
+        if positions is not None:
+            dist = marginalize(dist, positions)
+        dist.probabilities = MappingProxyType(dist.probabilities)
+        size = len(dist.probabilities)
+        with self._lock:
+            if size <= self.limit and key not in self._dists:
+                self._dists[key] = dist
+                self.held += size
+                while self.held > self.limit:
+                    self.held -= len(self._dists.popitem(last=False)[1].probabilities)
+        return dist
+
+
+_EXACT = _ExactCache(_EXACT_OUTCOMES)
 
 
 def run_qir(spec: CircuitKernel, seed: int, accelerator="statevector") -> ProbDist | ShotHistogram:
@@ -355,10 +409,10 @@ def run_qir(spec: CircuitKernel, seed: int, accelerator="statevector") -> ProbDi
     if accelerator == "trajectory":
         hist = run_trajectory(spec.circuit, spec.shots, seed)
         return hist if spec.positions is None else marginalize_counts(hist, spec.positions)
-    _, dist = simulate(spec.circuit)
-    if spec.positions is not None:
-        dist = marginalize(dist, spec.positions)
-    return dist if spec.mode == "exact" else sample_shots(dist, spec.shots, seed)
+    dist = _EXACT.get(spec.circuit, spec.positions)
+    if spec.mode == "exact":  # the payload is the caller's to change
+        return ProbDist(dist.measured_qubits, dict(dist.probabilities))
+    return sample_shots(dist, spec.shots, seed)
 
 
 class QpuDevice(DeviceBackend):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,19 +101,29 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.einsum("ij,ajb->aib", mat, view).reshape(-1)
 
 
+def _qubit_index(n: int, bits: Mapping[int, int]) -> tuple:
+    """Index into a state reshaped to one axis per qubit (axis n-1-q is qubit q)
+    that fixes each listed qubit to its bit."""
+    index = [slice(None)] * n
+    for q, bit in bits.items():
+        index[n - 1 - q] = bit
+    return tuple(index)
+
+
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    sel = (idx >> control) & 1 == 1
-    out = amps.copy()
-    out[idx[sel]] = amps[idx[sel] ^ (1 << target)]
+    # Swap the target's two halves where the control is 1: a permutation, so exact.
+    n = amps.size.bit_length() - 1
+    src, out = amps.reshape([2] * n), amps.copy()
+    dst = out.reshape(src.shape)
+    zero, one = _qubit_index(n, {control: 1, target: 0}), _qubit_index(n, {control: 1, target: 1})
+    dst[zero], dst[one] = src[one], src[zero]
     return out
 
 
 def _apply_cz(amps: np.ndarray, a: int, b: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    sel = (((idx >> a) & 1) & ((idx >> b) & 1)) == 1
+    n = amps.size.bit_length() - 1
     out = amps.copy()
-    out[sel] *= -1
+    out.reshape([2] * n)[_qubit_index(n, {a: 1, b: 1})] *= -1
     return out
 
 
@@ -232,17 +243,28 @@ def _marginal_distribution(state: StateVector, qubits: Sequence[int]) -> ProbDis
     return ProbDist(tuple(qubits), out)
 
 
+def _sampling_table(dist: ProbDist) -> tuple[list[str], np.ndarray]:
+    """Sorted keys and normalised probabilities of a distribution, the input of
+    every multinomial draw. It is kept on a distribution whose probabilities are
+    read-only (the exact-distribution cache's), which cannot change under it."""
+    table = dist.__dict__.get("_table")
+    if table is None:
+        keys = sorted(dist.probabilities)
+        p = np.array([dist.probabilities[k] for k in keys], dtype=float)
+        table = keys, p / p.sum()
+        if isinstance(dist.probabilities, MappingProxyType):
+            dist._table = table
+    return table
+
+
 def sample_shots(dist: ProbDist, shots: int, seed: int) -> ShotHistogram:
     """Seeded multinomial sample of a distribution; zero counts are dropped."""
     if shots < 0:
         raise ValueError("shots must be non-negative")
     if shots == 0:
         return ShotHistogram({}, 0, seed)
-    keys = sorted(dist.probabilities)
-    p = np.array([dist.probabilities[k] for k in keys], dtype=float)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, p)
+    keys, p = _sampling_table(dist)
+    counts = np.random.default_rng(seed).multinomial(shots, p)
     return ShotHistogram(
         {k: int(c) for k, c in zip(keys, counts) if c > 0}, shots, seed
     )
@@ -253,21 +275,27 @@ def run_trajectory(circuit: Circuit, shots: int, seed: int) -> ShotHistogram:
 
     Handles mid-circuit measurement: each mz samples the qubit's marginal,
     collapses and renormalizes, and records the bit under its result slot.
-    Histogram keys list result slots in ascending slot order.
+    Histogram keys list result slots in ascending slot order. The gates before
+    the first mz draw nothing, so they are applied once and every shot starts
+    from a copy of that state.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
     slots = circuit.result_slots
     slot_pos = {s: i for i, s in enumerate(slots)}
-    initial = StateVector.zero(circuit.num_qubits)  # rejects a width past MAX_QUBITS
-    index = np.arange(initial.amplitudes.size)
+    prefix = StateVector.zero(circuit.num_qubits)  # rejects a width past MAX_QUBITS
+    ops = circuit.ops
+    first_mz = next((i for i, g in enumerate(ops) if g.kind is GateKind.MZ), len(ops))
+    for gate in ops[:first_mz]:
+        apply_gate(prefix, gate)
+    index = np.arange(prefix.amplitudes.size)
     bit_of = [((index >> q) & 1).astype(bool) for q in range(circuit.num_qubits)]
     rng = np.random.default_rng(seed)
     counts: dict[str, int] = {}
     for _ in range(shots):
-        state = StateVector(circuit.num_qubits, initial.amplitudes.copy())
+        state = StateVector(circuit.num_qubits, prefix.amplitudes.copy())
         bits = ["0"] * len(slots)
-        for gate in circuit.ops:
+        for gate in ops[first_mz:]:
             if gate.kind is not GateKind.MZ:
                 apply_gate(state, gate)
                 continue

@@ -432,6 +432,46 @@ def test_graph_bad_circuit_operand_is_usage_error(capsys, tmp_path, gates):
     assert "'bad'" in err
 
 
+_INFINITE_RX_QIR = emit_qir(Circuit(1).append(Gate.rx(0, 1.5), Gate.mz(0, 0))).replace(
+    "double 1.5", "double 1e999"
+)
+
+
+def test_exec_infinite_angle_is_usage_error(capsys, tmp_path):
+    # a QIR double of 1e999 reads as inf; no gate takes it
+    path = tmp_path / "inf.ll"
+    path.write_text(_INFINITE_RX_QIR)
+    code, out, err = run_cli(capsys, "exec", str(path))
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"type": "qir", "source": _INFINITE_RX_QIR},
+        {"type": "circuit", "qubits": 1, "gates": [["rx", 0, float("nan")], ["mz", 0, 0]]},
+        {"type": "circuit", "qubits": 1, "gates": [["ry", 0, float("-inf")]]},
+    ],
+    ids=["qir-inf", "circuit-nan", "circuit-minus-inf"],
+)
+def test_graph_non_finite_angle_is_usage_error(capsys, tmp_path, kernel):
+    # JSON reads NaN and -Infinity as floats; a task with such an angle stops
+    # the command before anything runs, naming the task
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [
+            {"name": "good", "kernel": {"type": "qir", "file": "bell.ll"}},
+            {"name": "angled", "kernel": kernel, "shots": 0, "depends": ["good"]},
+        ],
+    }
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert "'angled'" in err and "finite" in err
+
+
 # -- one QIR execution path ---------------------------------------------------
 
 
