@@ -17,14 +17,14 @@ import dataclasses
 import graphlib
 import json
 import sys
-from pathlib import Path
 
 from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import MAX_DEVICES, POLICIES, GraphSpecError, QirKernel, TaskState, lower_qir
-from .runtime import make_runtime, parse_graph_spec, run_qir
-from .simulator import NonTerminalMeasurementError, ProbDist, ShotHistogram, TooManyQubitsError
-from .simulator import format_histogram, format_probabilities
+from .runtime import MAX_DEVICES, POLICIES, CircuitKernel, GraphSpecError, InputFileError
+from .runtime import QirKernel, TaskState, lower_qir, make_runtime, parse_graph_spec, read_input
+from .runtime import TaskSpecEntry, run_qir
+from .simulator import MAX_SHOTS, NonTerminalMeasurementError, ProbDist, ShotHistogram
+from .simulator import TooManyQubitsError, format_histogram, format_probabilities
 
 ACCELERATORS = ("statevector", "trajectory")
 
@@ -43,6 +43,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _shots(value: str) -> int:
+    n = _nonneg_int(value)
+    if n > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SHOTS}, got {n}")
+    return n
+
+
 def _device_count(value: str) -> int:
     n = _positive_int(value)
     if n > MAX_DEVICES:
@@ -57,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exec = sub.add_parser("exec", help="run a QIR file and print its histogram")
     p_exec.add_argument("file", help=".ll file (falls back to the shipped kernels)")
     p_exec.add_argument("-a", "--accelerator", choices=ACCELERATORS, default="statevector")
-    p_exec.add_argument("-s", "--shots", type=_nonneg_int, default=1024)
-    p_exec.add_argument("--seed", type=int, default=0)
+    p_exec.add_argument("-s", "--shots", type=_shots, default=1024)
+    p_exec.add_argument("--seed", type=_nonneg_int, default=0)
     p_exec.add_argument(
         "--probs", action="store_true", help="print the exact distribution instead of sampling"
     )
@@ -71,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=cmd_graph)
 
     p_qpd = sub.add_parser("ghz-qpd", help="wire-cut GHZ estimation of the Z-string mean")
-    p_qpd.add_argument("--shots", type=_nonneg_int, default=1024)
+    p_qpd.add_argument("--shots", type=_shots, default=1024)
     p_qpd.add_argument("--reps", type=_positive_int, default=1)
     p_qpd.add_argument("--devices", type=_device_count, default=4)
     p_qpd.add_argument("--mode", choices=("exact", "sampled"), default="sampled")
@@ -114,16 +121,40 @@ def _summarize(payload) -> str | None:
     return text if len(text) <= 72 else text[:69] + "..."
 
 
+def _creation_order(tasks: list[TaskSpecEntry]) -> list[str]:
+    """Task names in dependency order, as ``graphlib``'s ``static_order`` gives
+    them for a file whose tasks list their dependencies first, in one linear
+    pass: ready names come in batches, each in the order its names became
+    ready, the first in file order. ``depends`` are read in list order, each
+    name once, so the order does not depend on string hashing."""
+    waiting: dict[str, int] = {}  # name -> dependencies not yet in the order
+    dependents: dict[str, list[str]] = {}
+    for t in tasks:
+        depends = dict.fromkeys(t.depends)
+        waiting[t.name] = waiting.get(t.name, 0) + len(depends)
+        for d in depends:
+            waiting.setdefault(d, 0)
+            dependents.setdefault(d, []).append(t.name)
+    order = [name for name, n in waiting.items() if n == 0]
+    for name in order:  # grows while it is read: each batch follows the last
+        for dependent in dependents.get(name, ()):
+            waiting[dependent] -= 1
+            if waiting[dependent] == 0:
+                order.append(dependent)
+    if len(order) < len(waiting):  # raises graphlib.CycleError naming a cycle
+        graphlib.TopologicalSorter({t.name: t.depends for t in tasks}).prepare()
+    return order
+
+
 def cmd_graph(args) -> int:
-    spec = parse_graph_spec(Path(args.file).read_text())
+    spec = parse_graph_spec(read_input(args.file))
     policy = args.policy if args.policy is not None else spec.policy
     seed = args.seed if args.seed is not None else spec.seed
 
     # creation must follow dependencies; printing keeps the file's order
-    order = graphlib.TopologicalSorter(
-        {t.name: set(t.depends) for t in spec.tasks}
-    ).static_order()
+    order = _creation_order(spec.tasks)
     by_name = {t.name: t for t in spec.tasks}
+    lowered: dict[QirKernel, CircuitKernel] = {}  # each distinct QIR spec is read and lowered once
 
     runtime = make_runtime(qpu=spec.qpu, host=spec.host)
     runtime.register_host_kernel("noop", lambda params, deps: None)
@@ -134,9 +165,14 @@ def cmd_graph(args) -> int:
         for name in order:
             entry = by_name[name]
             deps = [ids[d] for d in entry.depends]
+            kernel = entry.kernel
             try:
-                ids[name] = graph.create_task(name, entry.kernel, deps, entry.device)
-            except (QirParseError, QirLoweringError, FileNotFoundError) as exc:
+                if isinstance(kernel, QirKernel):
+                    if kernel not in lowered:
+                        lowered[kernel] = lower_qir(kernel)
+                    kernel = lowered[kernel]
+                ids[name] = graph.create_task(name, kernel, deps, entry.device)
+            except (QirParseError, QirLoweringError, FileNotFoundError, InputFileError) as exc:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
             except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
                 raise GraphSpecError(f"no qpu can run the kernel in task {name!r}: {exc}") from exc
@@ -194,6 +230,7 @@ def main(argv=None) -> int:
         graphlib.CycleError,
         json.JSONDecodeError,
         FileNotFoundError,
+        InputFileError,
         NonTerminalMeasurementError,
         TooManyQubitsError,
     ) as exc:

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import find_kernel_file, lower_to_circuit, output_positions, parse_qir
 from .seeding import derive_seed
 from .simulator import (
+    MAX_SHOTS,
     ProbDist,
     ShotHistogram,
     check_simulable,
@@ -137,14 +138,19 @@ class TaskState(enum.Enum):
     FAILED = "failed"
 
 
-TERMINAL_STATES = frozenset({TaskState.COMPLETED, TaskState.FAILED})
+# tuples, not sets: membership compares by identity, where a set would call the
+# Python-level Enum.__hash__ on every task transition
+TERMINAL_STATES = (TaskState.COMPLETED, TaskState.FAILED)
 
-_ALLOWED_TRANSITIONS = {
-    TaskState.CREATED: {TaskState.SUBMITTED},
-    TaskState.SUBMITTED: {TaskState.READY, TaskState.FAILED},
-    TaskState.READY: {TaskState.RUNNING, TaskState.FAILED},
-    TaskState.RUNNING: {TaskState.COMPLETED, TaskState.FAILED},
-}
+_ALLOWED_TRANSITIONS = (
+    (TaskState.CREATED, TaskState.SUBMITTED),
+    (TaskState.SUBMITTED, TaskState.READY),
+    (TaskState.SUBMITTED, TaskState.FAILED),
+    (TaskState.READY, TaskState.RUNNING),
+    (TaskState.READY, TaskState.FAILED),
+    (TaskState.RUNNING, TaskState.COMPLETED),
+    (TaskState.RUNNING, TaskState.FAILED),
+)
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ class Task:
         self.device_req = device_req
         self.reads = tuple(reads)
         self.writes = tuple(writes)
-        self.graph: "TaskGraph | None" = None
+        self.graph: "TaskGraph | None" = None  # set by create_task, cleared when the graph ends
         self.state = TaskState.CREATED
         self.result: TaskResult | None = None
         self.remaining_deps = 0
@@ -355,11 +361,29 @@ def _lowered(text: str) -> tuple[Circuit, tuple[int, ...] | None]:
     return circuit, None if positions is None else tuple(positions)
 
 
+class InputFileError(ValueError):
+    """A graph or QIR file exists but cannot be read as UTF-8 text."""
+
+
+def read_input(path: str | Path) -> str:
+    """The text of a graph or QIR file, read as UTF-8. A missing file raises
+    FileNotFoundError; a directory, an unreadable file or one that is not UTF-8
+    raises InputFileError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise InputFileError(f"cannot read {str(path)!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(
+            f"cannot read {str(path)!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
 def lower_qir(spec: QirKernel) -> CircuitKernel:
     """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution.
     Each program text is lowered once; every kernel gets its own copy of the circuit."""
     circuit, positions = _lowered(
-        spec.source if spec.path is None else find_kernel_file(spec.path).read_text()
+        spec.source if spec.path is None else read_input(find_kernel_file(spec.path))
     )
     mode = "exact" if spec.shots == 0 else "sampled"
     return CircuitKernel(circuit.copy(), spec.shots, spec.seed, mode, positions)
@@ -542,10 +566,11 @@ class Runtime:
                 raise ValueError("runtime is shut down")
             if graph.submitted:
                 raise ValueError("graph already submitted")
-            sorter = graphlib.TopologicalSorter(
-                {tid: set(t.deps) for tid, t in graph.tasks.items()}
-            )
-            sorter.prepare()  # raises graphlib.CycleError before any state change
+            # create_task takes only existing ids, so dependencies below their
+            # task's id prove the graph acyclic in O(E). graphlib checks any other
+            # graph, raising CycleError before any state change
+            if any(t.deps and max(t.deps) >= t.id for t in graph.tasks.values()):
+                graphlib.TopologicalSorter({t.id: t.deps for t in graph.tasks.values()}).prepare()
 
             graph.submitted = True
             graph._order = next(self._submits)
@@ -635,8 +660,7 @@ class Runtime:
     # -- internals (these run under self._cond unless noted)
 
     def _set_state(self, task: Task, new: TaskState):
-        allowed = _ALLOWED_TRANSITIONS.get(task.state, frozenset())
-        if new not in allowed:
+        if (task.state, new) not in _ALLOWED_TRANSITIONS:
             raise AssertionError(
                 f"illegal transition {task.state.value} -> {new.value} for {task!r}"
             )
@@ -645,8 +669,11 @@ class Runtime:
             graph = task.graph
             graph._unfinished -= 1
             if graph._unfinished == 0:
-                # the graph has ended: forget it and wake its waiters
+                # the graph has ended: forget it, wake its waiters, and unlink its
+                # tasks, so that reference counting frees it, not the cyclic collector
                 del self._active[graph.graph_id]
+                for t in graph.tasks.values():
+                    t.graph = None
                 self._cond.notify_all()
 
     def _make_ready(self, graph: TaskGraph, task: Task):
@@ -808,13 +835,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(obj: Mapping, allowed: set[str], where: str):
+def _reject_unknown(obj: dict, allowed: set[str], where: str):
     for key in obj:
         if key not in allowed:
             raise GraphSpecError(f"unknown field {key!r} in {where}")
 
 
-def _json_circuit(spec: Mapping, where: str) -> Circuit:
+def _json_circuit(spec: dict, where: str) -> Circuit:
     qubits = spec.get("qubits")
     if not _is_int(qubits) or qubits < 1:
         raise GraphSpecError(f"circuit kernel in {where} needs a positive 'qubits'")
@@ -845,7 +872,7 @@ def _json_circuit(spec: Mapping, where: str) -> Circuit:
 
 
 def _json_kernel(spec, shots: int, where: str) -> KernelSpec:
-    if not isinstance(spec, Mapping):
+    if not isinstance(spec, dict):
         raise GraphSpecError(f"kernel in {where} must be an object")
     ktype = spec.get("type")
     if ktype not in _KERNEL_FIELDS:
@@ -875,7 +902,7 @@ def _json_kernel(spec, shots: int, where: str) -> KernelSpec:
 def parse_graph_spec(text: str) -> GraphSpec:
     """Validate and load the graph JSON format. Unknown fields are rejected."""
     obj = json.loads(text)
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise GraphSpecError("graph spec must be a JSON object")
     _reject_unknown(obj, _TOP_FIELDS, "graph spec")
 
@@ -887,7 +914,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
         raise GraphSpecError(f"'policy' must be default or roundrobin, got {policy!r}")
 
     devices = obj.get("devices")
-    if not isinstance(devices, Mapping):
+    if not isinstance(devices, dict):
         raise GraphSpecError("missing or invalid 'devices' object")
     _reject_unknown(devices, _DEVICE_FIELDS, "devices")
     qpu = devices.get("qpu", 0)
@@ -904,7 +931,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
     entries: list[TaskSpecEntry] = []
     for i, raw in enumerate(raw_tasks):
         where = f"task #{i}"
-        if not isinstance(raw, Mapping):
+        if not isinstance(raw, dict):
             raise GraphSpecError(f"{where} must be an object")
         _reject_unknown(raw, _TASK_FIELDS, where)
         name = raw.get("name")
@@ -915,8 +942,8 @@ def parse_graph_spec(text: str) -> GraphSpec:
         names.add(name)
         where = f"task {name!r}"
         shots = raw.get("shots", 1024)
-        if not _is_int(shots) or shots < 0:
-            raise GraphSpecError(f"'shots' in {where} must be a non-negative integer")
+        if not _is_int(shots) or not 0 <= shots <= MAX_SHOTS:
+            raise GraphSpecError(f"'shots' in {where} must be an integer in 0..{MAX_SHOTS}")
         depends = raw.get("depends", [])
         if not isinstance(depends, list) or not all(isinstance(d, str) for d in depends):
             raise GraphSpecError(f"'depends' in {where} must be a list of task names")

@@ -22,6 +22,8 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, Pauli, pauli_string
 
 MAX_QUBITS = 24
+# numpy's multinomial takes the shot count as a C long, 32 bits on some platforms
+MAX_SHOTS = 2**31 - 1
 
 _NORM_TOL = 1e-10
 _PROB_EPS = 1e-15  # exact-distribution entries below this are dropped

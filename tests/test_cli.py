@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qtask
 from qtask import cli
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
@@ -533,3 +538,124 @@ def test_readme_commands_stdout_golden(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_SHA256[argv]
+
+
+# -- inputs mended at the boundary ----------------------------------------------
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_graph_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "graph", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in _one_error_line(err)
+
+
+def test_graph_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"devices": {"host": 1}, "tasks": [{"name": "café"}]}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert str(path) in line and "UTF-8" in line
+
+
+def test_graph_qir_file_naming_directory_is_usage_error(capsys, tmp_path):
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [{"name": "q", "kernel": {"type": "qir", "file": str(tmp_path)}}],
+    }
+    path = tmp_path / "dir_kernel.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert "'q'" in line and str(tmp_path) in line
+
+
+def test_exec_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "exec", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in _one_error_line(err)
+
+
+def test_exec_shots_above_cap_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "exec", "bell.ll", "-s", str(10**20))
+    assert code == 2 and out == ""
+    assert "--shots" in err and str(cli.MAX_SHOTS) in err
+
+
+def test_exec_shots_at_cap_samples(capsys):
+    code, out, _ = run_cli(capsys, "exec", "bell.ll", "-s", str(cli.MAX_SHOTS))
+    assert code == 0
+    assert out.splitlines()[-1] == f"shots {cli.MAX_SHOTS}"
+
+
+def test_exec_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "exec", "bell.ll", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+def test_ghz_qpd_shots_above_cap_is_usage_error(capsys):
+    argv = ("ghz-qpd", "--shots", str(10**20), "--reps", "1", "--devices", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--shots" in err and str(cli.MAX_SHOTS) in err
+
+
+def test_graph_shots_above_cap_is_usage_error(capsys, tmp_path):
+    spec = {
+        "devices": {"qpu": 1, "host": 0},
+        "tasks": [{"name": "q", "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 10**20}],
+    }
+    path = tmp_path / "huge_shots.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert "'shots'" in line and "'q'" in line
+
+
+def test_derived_seeds_accept_a_negative_seed(capsys, tmp_path):
+    # graph and ghz-qpd derive every task's seed from --seed, so any integer works
+    path = tmp_path / "fanout.json"
+    path.write_text(json.dumps(FANOUT_GRAPH))
+    assert run_cli(capsys, "graph", str(path), "--seed", "-1")[0] == 0
+    argv = ("ghz-qpd", "--reps", "1", "--shots", "16", "--devices", "1", "--seed", "-1")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+# c lists b and a before the file defines them; their creation order, and so
+# their ids and derived seeds, once followed string hashing
+FORWARD_REFERENCE_GRAPH = {
+    "seed": 3,
+    "policy": "roundrobin",
+    "devices": {"qpu": 1, "host": 1},
+    "tasks": [
+        {"name": name, "kernel": {"type": "qir", "file": "bell.ll"}, "shots": 64, "depends": deps}
+        for name, deps in (
+            ("c", ["b", "a"]), ("d", ["c"]), ("a", []), ("b", []), ("e", []), ("f", ["e"])
+        )
+    ],
+}
+
+
+def test_graph_forward_reference_stdout_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "forward.json"
+    path.write_text(json.dumps(FORWARD_REFERENCE_GRAPH))
+    src = str(Path(qtask.__file__).resolve().parents[1])
+    outs = set()
+    for hash_seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtask.cli", "graph", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1

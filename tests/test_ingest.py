@@ -1,0 +1,131 @@
+"""Graph ingestion: the CLI's linear creation order, the id-order acyclicity
+proof at submit, and one lowering per QIR spec."""
+
+import graphlib
+import json
+import random
+
+import pytest
+
+import qtask.runtime
+from qtask import cli
+from qtask.runtime import HostKernel, TaskSpecEntry, TaskState, make_runtime
+
+
+def _entries(named_depends):
+    kernel = HostKernel("noop")
+    return [TaskSpecEntry(name, kernel, tuple(deps), "any") for name, deps in named_depends]
+
+
+def _random_spec(rng: random.Random, ordered: bool):
+    """A random DAG as (name, depends) pairs. Names are shuffled strings, so a
+    set of them iterates in hash order; ``depends`` may repeat a name. With
+    ``ordered``, every task lists its dependencies earlier in the file."""
+    n = rng.randint(1, 40)
+    names = rng.sample([f"n{i}" for i in range(200)], n)
+    spec = []
+    for i, name in enumerate(names):
+        deps = rng.choices(names[:i], k=rng.randint(0, min(i, 4))) if i else []
+        if deps and rng.random() < 0.3:
+            deps.append(deps[0])  # a duplicate counts once
+        spec.append((name, deps))
+    if not ordered:
+        rng.shuffle(spec)
+    return spec
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_creation_order_is_graphlib_static_order_on_ordered_files(seed):
+    spec = _random_spec(random.Random(seed), ordered=True)
+    expected = list(graphlib.TopologicalSorter({n: set(d) for n, d in spec}).static_order())
+    assert cli._creation_order(_entries(spec)) == expected
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_creation_order_reads_depends_in_list_order(seed):
+    # any acyclic file: graphlib's order when each task adds its depends in list order
+    spec = _random_spec(random.Random(seed), ordered=False)
+    sorter = graphlib.TopologicalSorter()
+    for name, deps in spec:
+        sorter.add(name, *dict.fromkeys(deps))
+    assert cli._creation_order(_entries(spec)) == list(sorter.static_order())
+
+
+def test_creation_order_rejects_a_cycle_with_duplicate_depends():
+    spec = [("a", ["c"]), ("b", ["a", "a"]), ("c", ["b"]), ("d", [])]
+    with pytest.raises(graphlib.CycleError):
+        cli._creation_order(_entries(spec))
+
+
+class _CountingSorter(graphlib.TopologicalSorter):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_sorter(monkeypatch):
+    _CountingSorter.built = 0
+    monkeypatch.setattr(graphlib, "TopologicalSorter", _CountingSorter)
+    return _CountingSorter
+
+
+def test_submit_proves_id_ordered_graph_acyclic_without_graphlib(counting_sorter):
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: p)
+        graph = runtime.create_graph()
+        ids = []
+        for i in range(20):
+            ids.append(graph.create_task(f"t{i}", HostKernel("nop", (i,)), deps=ids[-2:]))
+        results = runtime.wait(runtime.submit(graph))
+    assert counting_sorter.built == 0
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+
+
+def test_submit_falls_back_to_graphlib_for_a_dependency_on_a_later_id(counting_sorter):
+    # a dependency on a higher id is not a cycle: graphlib checks it, and the
+    # graph runs in dependency order
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: sorted(d))
+        graph = runtime.create_graph()
+        a = graph.create_task("a", HostKernel("nop"))
+        b = graph.create_task("b", HostKernel("nop"))
+        c = graph.create_task("c", HostKernel("nop"), deps=[b])
+        graph.tasks[a].deps = frozenset({c})
+        results = runtime.wait(runtime.submit(graph))
+    assert counting_sorter.built == 1
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+    assert results[a].payload == ["c"] and results[c].payload == ["b"]
+    seq = {(event, tid): s for s, event, tid, _ in graph.trace}
+    assert seq[("completed", c)] < seq[("running", a)]
+
+
+def test_graph_reads_each_qir_file_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    find = qtask.runtime.find_kernel_file
+
+    def counting(name):
+        calls.append(name)
+        return find(name)
+
+    monkeypatch.setattr(qtask.runtime, "find_kernel_file", counting)
+    bell = {"type": "qir", "file": "bell.ll"}
+    spec = {
+        "devices": {"qpu": 1, "host": 1},
+        "tasks": [
+            {"name": "q0", "kernel": bell, "shots": 32},
+            {"name": "h", "kernel": {"type": "host", "name": "noop"}, "depends": ["q0"]},
+            {"name": "q1", "kernel": bell, "shots": 32, "depends": ["h"]},
+            {"name": "q2", "kernel": bell, "shots": 32},
+        ],
+    }
+    path = tmp_path / "three_qir.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["graph", str(path)]) == 0
+    assert calls == ["bell.ll"]
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if not line.startswith(" ")] == [
+        "q0", "h", "q1", "q2"
+    ]

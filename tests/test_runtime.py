@@ -1,6 +1,8 @@
+import gc
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -862,3 +864,52 @@ def test_kernel_raising_system_exit_fails_task_and_worker_survives():
         results = runtime.wait(runtime.submit(later), timeout=10)
         assert results[tid2].status is TaskState.COMPLETED
         assert results[tid2].payload == "ok" and results[tid2].device_id == 0
+
+
+_LEGAL_TRANSITIONS = {
+    (TaskState.CREATED, TaskState.SUBMITTED),
+    (TaskState.SUBMITTED, TaskState.READY),
+    (TaskState.SUBMITTED, TaskState.FAILED),
+    (TaskState.READY, TaskState.RUNNING),
+    (TaskState.READY, TaskState.FAILED),
+    (TaskState.RUNNING, TaskState.COMPLETED),
+    (TaskState.RUNNING, TaskState.FAILED),
+}
+
+
+@pytest.mark.parametrize("old", list(TaskState), ids=lambda s: s.value)
+@pytest.mark.parametrize("new", list(TaskState), ids=lambda s: s.value)
+def test_set_state_allows_exactly_the_lifecycle_transitions(old, new):
+    with Runtime() as runtime:
+        graph = runtime.create_graph()
+        task = graph.tasks[graph.create_task("t", HostKernel("x"))]
+        graph.create_task("u", HostKernel("x"))  # keeps the graph unfinished
+        task.state = old
+        if (old, new) in _LEGAL_TRANSITIONS:
+            runtime._set_state(task, new)
+            assert task.state is new
+        else:
+            with pytest.raises(AssertionError, match=f"illegal transition {old.value} -> {new.value} "):
+                runtime._set_state(task, new)
+            assert task.state is old
+
+
+def test_ended_graph_is_freed_without_the_cyclic_collector():
+    # the runtime unlinks an ended graph's tasks from it, so dropping the graph
+    # frees it at once, with no reference cycle left for gc to find
+    gc.disable()
+    try:
+        with make_runtime(qpu=0, host=1) as runtime:
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            prev = []
+            for i in range(10):
+                prev = [graph.create_task(f"t{i}", HostKernel("nop", (i,)), deps=prev)]
+            handle = runtime.submit(graph, sync=True)
+            assert all(t.graph is None for t in graph.tasks.values())
+            task, ref = graph.tasks[0], weakref.ref(graph)
+        del graph, handle
+        assert ref() is None
+        assert task.result.status is TaskState.COMPLETED
+    finally:
+        gc.enable()
