@@ -60,7 +60,6 @@ from .runtime import (
     HostDevice,
     HostKernel,
     MemObject,
-    NamedKernel,
     QirKernel,
     QpuDevice,
     Runtime,

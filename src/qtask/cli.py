@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import graphlib
 import json
 import sys
 
 from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import MAX_DEVICES, POLICIES, CircuitKernel, GraphSpecError, InputFileError
+from .runtime import MAX_DEVICES, POLICIES, GraphSpecError, InputFileError
 from .runtime import QirKernel, TaskState, lower_qir, make_runtime, parse_graph_spec, read_input
 from .runtime import TaskSpecEntry, run_qir
 from .simulator import MAX_SHOTS, NonTerminalMeasurementError, ProbDist, ShotHistogram
@@ -29,34 +30,21 @@ from .simulator import TooManyQubitsError, format_histogram, format_probabilitie
 ACCELERATORS = ("statevector", "trajectory")
 
 
-def _nonneg_int(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
-    return n
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from ``low`` to ``high`` (unbounded when None)."""
+
+    def integer(value: str) -> int:  # argparse names it in "invalid integer value"
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
+        return n
+
+    return integer
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
-def _shots(value: str) -> int:
-    n = _nonneg_int(value)
-    if n > MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SHOTS}, got {n}")
-    return n
-
-
-def _device_count(value: str) -> int:
-    n = _positive_int(value)
-    if n > MAX_DEVICES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEVICES}, got {n}")
-    return n
-
-
+@functools.cache  # one parser per process: in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qtask", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exec = sub.add_parser("exec", help="run a QIR file and print its histogram")
     p_exec.add_argument("file", help=".ll file (falls back to the shipped kernels)")
     p_exec.add_argument("-a", "--accelerator", choices=ACCELERATORS, default="statevector")
-    p_exec.add_argument("-s", "--shots", type=_shots, default=1024)
-    p_exec.add_argument("--seed", type=_nonneg_int, default=0)
+    p_exec.add_argument("-s", "--shots", type=_int_in(0, MAX_SHOTS), default=1024)
+    p_exec.add_argument("--seed", type=_int_in(0), default=0)
     p_exec.add_argument(
         "--probs", action="store_true", help="print the exact distribution instead of sampling"
     )
@@ -78,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=cmd_graph)
 
     p_qpd = sub.add_parser("ghz-qpd", help="wire-cut GHZ estimation of the Z-string mean")
-    p_qpd.add_argument("--shots", type=_shots, default=1024)
-    p_qpd.add_argument("--reps", type=_positive_int, default=1)
-    p_qpd.add_argument("--devices", type=_device_count, default=4)
+    p_qpd.add_argument("--shots", type=_int_in(0, MAX_SHOTS), default=1024)
+    p_qpd.add_argument("--reps", type=_int_in(1), default=1)
+    p_qpd.add_argument("--devices", type=_int_in(1, MAX_DEVICES), default=4)
     p_qpd.add_argument("--mode", choices=("exact", "sampled"), default="sampled")
     p_qpd.add_argument("--seed", type=int, default=0)
     p_qpd.add_argument("--csv", default=None, help="write per-repetition values to this path")
@@ -154,24 +142,17 @@ def cmd_graph(args) -> int:
     # creation must follow dependencies; printing keeps the file's order
     order = _creation_order(spec.tasks)
     by_name = {t.name: t for t in spec.tasks}
-    lowered: dict[QirKernel, CircuitKernel] = {}  # each distinct QIR spec is read and lowered once
 
     runtime = make_runtime(qpu=spec.qpu, host=spec.host)
     runtime.register_host_kernel("noop", lambda params, deps: None)
 
     try:
         graph = runtime.create_graph(seed=seed)
-        ids: dict[str, int] = {}
         for name in order:
             entry = by_name[name]
-            deps = [ids[d] for d in entry.depends]
-            kernel = entry.kernel
+            deps = [graph.task_id_by_name(d) for d in entry.depends]
             try:
-                if isinstance(kernel, QirKernel):
-                    if kernel not in lowered:
-                        lowered[kernel] = lower_qir(kernel)
-                    kernel = lowered[kernel]
-                ids[name] = graph.create_task(name, kernel, deps, entry.device)
+                graph.create_task(name, entry.kernel, deps, entry.device)
             except (QirParseError, QirLoweringError, FileNotFoundError, InputFileError) as exc:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
             except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
@@ -183,7 +164,7 @@ def cmd_graph(args) -> int:
 
     failed = False
     for entry in spec.tasks:
-        result = results[ids[entry.name]]
+        result = results[graph.task_id_by_name(entry.name)]
         device = "-" if result.device_id is None else str(result.device_id)
         print(f"{entry.name} {device} {result.status.value}")
         if result.status is TaskState.FAILED:

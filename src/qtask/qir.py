@@ -15,6 +15,7 @@ materialized as ``.ll`` files and fed back through the parser.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -338,11 +339,12 @@ _KERNEL_DIR = Path(__file__).parent / "kernels"
 
 
 def find_kernel_file(name) -> Path:
-    """Resolve a ``.ll`` path, falling back to the kernels shipped in-package."""
+    """Resolve a ``.ll`` path, falling back to the kernels shipped in-package.
+    A name the OS cannot look up, such as one too long, counts as not found."""
     path = Path(name)
-    if path.exists():
+    if os.path.exists(path):
         return path
     shipped = _KERNEL_DIR / path.name
-    if shipped.exists():
+    if os.path.exists(shipped):
         return shipped
     raise FileNotFoundError(f"QIR kernel {name!r} not found (also searched {_KERNEL_DIR})")

@@ -77,7 +77,8 @@ class HostKernel:
 @dataclass(frozen=True)
 class QirKernel:
     """QIR program given as inline text or a .ll path; sampled unless shots=0.
-    ``create_task`` reads and lowers it once, to a CircuitKernel (``lower_qir``)."""
+    ``create_task`` reads, lowers and checks each spec once per graph, to the
+    CircuitKernel that every task naming it shares (``lower_qir``)."""
 
     source: str | None = None
     path: str | Path | None = None
@@ -109,20 +110,7 @@ class CircuitKernel:
             object.__setattr__(self, "positions", tuple(self.positions))
 
 
-@dataclass(frozen=True)
-class NamedKernel:
-    """Kernel given by name, resolved by ``TaskGraph.create_task``: names
-    ending in .ll become a QirKernel on that path, read and lowered there to
-    a CircuitKernel; anything else becomes a HostKernel, looked up in the
-    registry at dispatch."""
-
-    name: str
-    shots: int = 1024
-    params: tuple = ()
-    seed: int | None = None
-
-
-KernelSpec = HostKernel | QirKernel | CircuitKernel | NamedKernel
+KernelSpec = HostKernel | QirKernel | CircuitKernel
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +177,7 @@ class TaskGraph:
         self.seed = seed
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
+        self._lowered: dict[QirKernel, CircuitKernel] = {}  # each QIR spec's checked kernel
         self.dependents: dict[int, list[int]] = {}
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
@@ -213,17 +202,17 @@ class TaskGraph:
         if name in self._by_name:
             raise ValueError(f"duplicate task name {name!r}")
         if isinstance(kernel, str):
-            kernel = NamedKernel(kernel)
-        if isinstance(kernel, NamedKernel):
-            if kernel.name.endswith(".ll"):
-                kernel = QirKernel(path=kernel.name, shots=kernel.shots, seed=kernel.seed)
-            else:
-                kernel = HostKernel(kernel.name, kernel.params)
+            kernel = QirKernel(path=kernel) if kernel.endswith(".ll") else HostKernel(kernel)
         if isinstance(kernel, QirKernel):
-            kernel = lower_qir(kernel)
-        if isinstance(kernel, CircuitKernel):
+            lowered = self._lowered.get(kernel)
+            if lowered is None:
+                lowered = lower_qir(kernel)
+                check_simulable(lowered.circuit)  # stored only once it passes
+                self._lowered[kernel] = lowered
+            kernel = lowered
+        elif isinstance(kernel, CircuitKernel):
             check_simulable(kernel.circuit)  # a qpu runs statevector only
-        if not isinstance(kernel, (HostKernel, CircuitKernel)):
+        elif not isinstance(kernel, HostKernel):
             raise ValueError(f"not a kernel spec: {kernel!r}")
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):
             raise ValueError(f"invalid device requirement {device_req!r}")
@@ -241,9 +230,6 @@ class TaskGraph:
 
     def task_id_by_name(self, name: str) -> int:
         return self._by_name[name]
-
-    def derived_seed(self, task: Task) -> int:
-        return derive_seed(self.seed, task.id)
 
     def all_terminal(self) -> bool:
         return self._unfinished == 0
@@ -446,7 +432,7 @@ class QpuDevice(DeviceBackend):
 
     def run_kernel(self, task, graph, runtime):
         seed = task.kernel.seed
-        return run_qir(task.kernel, graph.derived_seed(task) if seed is None else seed)
+        return run_qir(task.kernel, derive_seed(graph.seed, task.id) if seed is None else seed)
 
 
 class HostDevice(DeviceBackend):
@@ -850,7 +836,8 @@ def _json_circuit(spec: dict, where: str) -> Circuit:
         raise GraphSpecError(f"'gates' of the circuit kernel in {where} must be a list")
     circuit = Circuit(qubits)
     for entry in gates:
-        if not isinstance(entry, list) or not entry or entry[0] not in _JSON_GATES:
+        if not (isinstance(entry, list) and entry and isinstance(entry[0], str)
+                and entry[0] in _JSON_GATES):
             raise GraphSpecError(f"bad gate entry {entry!r} in {where}")
         ctor, arity, angle = _JSON_GATES[entry[0]]
         args = entry[1:]
@@ -884,6 +871,9 @@ def _json_kernel(spec, shots: int, where: str) -> KernelSpec:
         file, source = spec.get("file"), spec.get("source")
         if (file is None) == (source is None):
             raise GraphSpecError(f"qir kernel in {where} needs exactly one of file or source")
+        field = "source" if file is None else "file"
+        if not isinstance(spec[field], str):  # a spec is hashed, so no list or object
+            raise GraphSpecError(f"qir kernel {field!r} in {where} must be a string")
         return QirKernel(source=source, path=file, shots=shots)
     if ktype == "host":
         name = spec.get("name")

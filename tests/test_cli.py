@@ -621,6 +621,50 @@ def test_graph_shots_above_cap_is_usage_error(capsys, tmp_path):
     assert "'shots'" in line and "'q'" in line
 
 
+def _graph_kernel_error(capsys, tmp_path, kernel) -> str:
+    """The one error line of a graph whose task 'k' has ``kernel``; it must exit 2."""
+    spec = {"devices": {"qpu": 1, "host": 1}, "tasks": [{"name": "k", "kernel": kernel}]}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert "'k'" in line
+    return line
+
+
+def test_graph_qir_source_not_a_string_is_usage_error(capsys, tmp_path):
+    line = _graph_kernel_error(capsys, tmp_path, {"type": "qir", "source": 5})
+    assert "'source'" in line
+
+
+def test_graph_qir_file_not_a_string_is_usage_error(capsys, tmp_path):
+    line = _graph_kernel_error(capsys, tmp_path, {"type": "qir", "file": 7})
+    assert "'file'" in line
+
+
+@pytest.mark.parametrize(
+    "kernel", [{"type": "qir", "file": {"a": 1}}, {"type": "qir", "source": ["x"]}],
+    ids=["file-object", "source-list"],
+)
+def test_graph_qir_spec_unhashable_is_usage_error(capsys, tmp_path, kernel):
+    # the spec keys the graph's lowering dict, so it must be checked before that
+    line = _graph_kernel_error(capsys, tmp_path, kernel)
+    assert "must be a string" in line
+
+
+@pytest.mark.parametrize("name", [["h"], {"h": 0}, 1])
+def test_graph_gate_name_not_a_string_is_usage_error(capsys, tmp_path, name):
+    kernel = {"type": "circuit", "qubits": 1, "gates": [[name, 0]]}
+    assert "bad gate entry" in _graph_kernel_error(capsys, tmp_path, kernel)
+
+
+def test_graph_qir_file_name_too_long_is_usage_error(capsys, tmp_path):
+    # the OS cannot look such a name up (ENAMETOOLONG), so it is not found
+    line = _graph_kernel_error(capsys, tmp_path, {"type": "qir", "file": "q" * 300 + ".ll"})
+    assert "not found" in line
+
+
 def test_derived_seeds_accept_a_negative_seed(capsys, tmp_path):
     # graph and ghz-qpd derive every task's seed from --seed, so any integer works
     path = tmp_path / "fanout.json"

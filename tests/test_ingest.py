@@ -1,5 +1,5 @@
 """Graph ingestion: the CLI's linear creation order, the id-order acyclicity
-proof at submit, and one lowering per QIR spec."""
+proof at submit, and one lowering and check per QIR spec per graph."""
 
 import graphlib
 import json
@@ -9,7 +9,10 @@ import pytest
 
 import qtask.runtime
 from qtask import cli
-from qtask.runtime import HostKernel, TaskSpecEntry, TaskState, make_runtime
+from qtask.circuit import Circuit, Gate
+from qtask.qir import emit_qir
+from qtask.runtime import HostKernel, QirKernel, TaskSpecEntry, TaskState, make_runtime
+from qtask.simulator import MAX_QUBITS, TooManyQubitsError
 
 
 def _entries(named_depends):
@@ -129,3 +132,45 @@ def test_graph_reads_each_qir_file_once(capsys, tmp_path, monkeypatch):
     assert [line.split()[0] for line in out.splitlines() if not line.startswith(" ")] == [
         "q0", "h", "q1", "q2"
     ]
+
+
+def test_create_task_lowers_and_checks_each_qir_spec_once(monkeypatch):
+    counts = {"find": 0, "check": 0}
+    find, check = qtask.runtime.find_kernel_file, qtask.runtime.check_simulable
+
+    def counting_find(name):
+        counts["find"] += 1
+        return find(name)
+
+    def counting_check(circuit):
+        counts["check"] += 1
+        return check(circuit)
+
+    monkeypatch.setattr(qtask.runtime, "find_kernel_file", counting_find)
+    monkeypatch.setattr(qtask.runtime, "check_simulable", counting_check)
+    with make_runtime(qpu=1, host=0) as runtime:
+        graph = runtime.create_graph(seed=3)
+        spec = QirKernel(path="bell.ll", shots=16)
+        tids = [graph.create_task(f"q{i}", spec) for i in range(3)]
+        assert counts == {"find": 1, "check": 1}
+        kernels = {id(graph.tasks[t].kernel) for t in tids}
+        assert len(kernels) == 1  # the tasks share one circuit kernel
+        # a circuit kernel given directly is checked on every call
+        shared = graph.tasks[tids[0]].kernel
+        graph.create_task("c0", shared)
+        graph.create_task("c1", shared)
+        assert counts["check"] == 3
+        results = runtime.wait(runtime.submit(graph))
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+    # each task still samples from its own derived seed
+    assert len({tuple(sorted(results[t].payload.counts.items())) for t in tids}) > 1
+
+
+def test_create_task_raises_again_for_a_spec_that_failed_its_check():
+    wide = QirKernel(source=emit_qir(Circuit(MAX_QUBITS + 6).append(Gate.h(0))))
+    with make_runtime(qpu=1, host=0) as runtime:
+        graph = runtime.create_graph()
+        for name in ("first", "second"):
+            with pytest.raises(TooManyQubitsError):
+                graph.create_task(name, wide)
+        assert graph.tasks == {}

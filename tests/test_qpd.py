@@ -354,6 +354,27 @@ def test_graph_execution_without_dedup_matches():
         assert reduce_res.payload.value == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dedup", [True, False])
+def test_one_cut_graph_execution_exact_mode(dedup):
+    decomp = canonical_wire_cut()
+    instances = build_ghz_qpd_instances(decomp, n_cuts=1)
+    with make_runtime(qpu=2, host=1) as runtime:
+        graph = instances_to_graph(runtime, decomp, instances, mode="exact", seed=4, dedup=dedup)
+        assert len(graph.tasks) == 8 * 2 + 1
+        results = runtime.wait(runtime.submit(graph))
+    assert all(r.status is TaskState.COMPLETED for r in results.values())
+    fragments = {
+        f"{part}_k{inst.k}": fragment
+        for inst in instances
+        for part, fragment in zip(("cut1", "tail"), inst.fragments)
+    }
+    assert len(fragments) == 16
+    for name, fragment in fragments.items():
+        assert results[graph.task_id_by_name(name)].payload == simulate(fragment)[1]
+    expected = estimate_zzzz(exact_results(decomp, n_cuts=1), decomp).value
+    assert results[graph.task_id_by_name(REDUCE_TASK)].payload.value == expected
+
+
 # -- validation runs ----------------------------------------------------------
 
 

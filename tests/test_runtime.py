@@ -23,7 +23,6 @@ from qtask.runtime import (
     GraphSpecError,
     HostDevice,
     HostKernel,
-    NamedKernel,
     QirKernel,
     QpuDevice,
     Runtime,
@@ -269,7 +268,7 @@ def test_late_binding_ll_name_requires_qpu():
 
     with make_runtime(qpu=0, host=1) as runtime:
         graph = runtime.create_graph()
-        tid = graph.create_task("t", NamedKernel("bell.ll", shots=16))
+        tid = graph.create_task("t", QirKernel(path="bell.ll", shots=16))
         results = runtime.wait(runtime.submit(graph))
         assert "no-capable-device" in results[tid].error
 
