@@ -125,7 +125,8 @@ class Circuit:
     """Ordered gate list on ``num_qubits`` wires.
 
     Result slots must be distinct; every gate is validated against the
-    register size on append.
+    register size on append. ``append`` and ``extend`` are the only ways to
+    change a circuit, and both drop its content key.
     """
 
     def __init__(self, num_qubits: int):
@@ -134,9 +135,11 @@ class Circuit:
         self.num_qubits = num_qubits
         self.ops: list[Gate] = []
         self._slots: set[int] = set()
+        self._key: str | None = None
 
     def append(self, *gates: Gate) -> "Circuit":
         """Append gates in order, validating each; returns self for chaining."""
+        self._key = None
         for gate in gates:
             self._append_one(gate)
         return self
@@ -172,7 +175,17 @@ class Circuit:
         dup = Circuit(self.num_qubits)
         dup.ops = list(self.ops)
         dup._slots = set(self._slots)
+        dup._key = self._key
         return dup
+
+    def content_key(self) -> str:
+        """A string spelling out the width and every gate, so circuits with one
+        key have one content. Computed once until the next append; a ``str``
+        caches its own hash, so lookups by it cost little."""
+        if self._key is None:
+            gates = [(g.kind.value, g.qubits, g.angle, g.result_slot) for g in self.ops]
+            self._key = repr((self.num_qubits, gates))
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):

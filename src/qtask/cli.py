@@ -204,11 +204,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except graphlib.CycleError as exc:  # args: a message, then the cycle's names in order
+        print(f"error: dependency cycle: {' -> '.join(map(str, exc.args[1]))}", file=sys.stderr)
+        return 2
     except (
         QirParseError,
         QirLoweringError,
         GraphSpecError,
-        graphlib.CycleError,
         json.JSONDecodeError,
         FileNotFoundError,
         InputFileError,

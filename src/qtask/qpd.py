@@ -14,9 +14,9 @@ variance scales with gamma squared per cut.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -226,12 +226,14 @@ def build_ghz_qpd_instances(
 
     Two cuts split the 4-qubit circuit into three 2-qubit fragments and
     yield one instance per (k, s) pair; one cut covers the 3-qubit case with
-    two fragments per k.
+    two fragments per k. Each distinct (prep, observable) fragment is built
+    once, and the instances that need it share its circuit.
     """
     if n_cuts not in (1, 2):
         raise ValueError(f"n_cuts must be 1 or 2, got {n_cuts}")
+    fragment = functools.cache(_entangler_fragment)
     return [
-        QpdInstance(*_instance_key(terms), tuple(_entangler_fragment(*f) for f in _chain(terms)))
+        QpdInstance(*_instance_key(terms), tuple(fragment(*f) for f in _chain(terms)))
         for terms in itertools.product(decomp.terms, repeat=n_cuts)
     ]
 
@@ -259,34 +261,48 @@ def sign_function(y1: int, y2: int, y3: int, y4: int) -> int:
     return out
 
 
-def _prob_items(dist):
-    if isinstance(dist, (ProbDist, ShotHistogram)):
-        return dist.as_probabilities().items()  # a zero-shot histogram raises here
-    if isinstance(dist, Mapping):
-        return dist.items()
-    raise TypeError(f"not a distribution: {dist!r}")
+# (2*y0-1) * w1 of each outcome a fragment reports, by ``second`` (see _moment)
+_SIGNS = {
+    -1: {"00": -1, "01": 1, "10": 1, "11": -1},
+    0: {"0": -1, "1": 1, "00": -1, "01": -1, "10": 1, "11": 1},
+    1: {"00": 1, "01": -1, "10": -1, "11": 1},
+}
 
 
 def _moment(dist, second: int) -> float:
     """Sum of P(key) * (2*y0-1) * w1 over a fragment's outcomes, where w1 is 1
     for ``second`` 0 (an identity observable leaves no second bit) and else
-    ``second * (2*y1-1)``: -1 gives the observable's eigenvalue, +1 a parity."""
+    ``second * (2*y1-1)``: -1 gives the observable's eigenvalue, +1 a parity.
+    A histogram's P(key) is its count over its shots."""
+    shots = 1
+    if isinstance(dist, ShotHistogram):
+        if dist.shots == 0:
+            raise ValueError("histogram has zero shots; no frequencies available")
+        dist, shots = dist.counts, dist.shots
+    elif isinstance(dist, ProbDist):
+        dist = dist.probabilities
+    elif not isinstance(dist, Mapping):
+        raise TypeError(f"not a distribution: {dist!r}")
+    signs = _SIGNS[second]
     total = 0.0
-    for key, p in _prob_items(dist):
-        w = 2 * int(key[0]) - 1
-        if second:
-            w *= second * (2 * int(key[1]) - 1)
-        total += p * w
+    try:
+        for key, p in dist.items():
+            total += p / shots * signs[key]
+    except KeyError:
+        raise ValueError(f"outcome {key!r} is not a fragment's one or two bits") from None
     return total
 
 
-def _instance_value(weight: float, terms: Sequence[QpdTerm], dists, moment=_moment) -> float:
-    """``weight`` times each fragment's ``moment``, left to right along the chain: the
-    last fragment gives its parity, the others their observable's eigenvalue."""
-    value = weight
-    for (_, obs), dist in zip(_chain(terms), dists):
-        value *= moment(dist, 1 if obs is None else 0 if obs is Pauli.I else -1)
-    return value
+def _instance_value(weights, terms: Sequence[QpdTerm], dists, moment=_moment) -> float:
+    """The product of ``weights``, then of each fragment's ``moment``, left to right
+    along the chain: the fragment ending at a cut gives the eigenvalue of the
+    cut's observable, the last one its parity."""
+    value = 1
+    for weight in weights:
+        value *= weight
+    for term, dist in zip(terms, dists):
+        value *= moment(dist, 0 if term.observable is Pauli.I else -1)
+    return value * moment(dists[len(terms)], 1)
 
 
 @dataclass
@@ -317,9 +333,9 @@ def estimate_zzzz(
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be exact or sampled, got {mode!r}")
     n_cuts = 1 if any(s is None for (_, s) in results) else 2
-    instances = itertools.product(decomp.terms, repeat=n_cuts)
-    instances = sorted(instances, key=lambda terms: [t.index for t in terms])
-    missing = [key for key in map(_instance_key, instances) if key not in results]
+    ordered = sorted(decomp.terms, key=lambda t: t.index)
+    walk = [(_instance_key(terms), terms) for terms in itertools.product(ordered, repeat=n_cuts)]
+    missing = [key for key, _ in walk if key not in results]
     if missing:
         raise ValueError(f"missing instance results: {missing[:4]}...")
 
@@ -332,10 +348,10 @@ def estimate_zzzz(
         return moments[key]
 
     value = 0.0
-    for terms in instances:
-        res = results[_instance_key(terms)]
-        weight = math.prod(t.coefficient for t in terms)
-        value += _instance_value(weight, terms, (res.p1, res.p2, res.p3), moment)
+    for key, terms in walk:
+        res = results[key]
+        weights = [t.coefficient for t in terms]
+        value += _instance_value(weights, terms, (res.p1, res.p2, res.p3), moment)
 
     shots = None
     first = next(iter(results.values()))
@@ -390,6 +406,7 @@ def instances_to_graph(
 
     graph = runtime.create_graph(seed=seed)
     task_ids: dict[str, int] = {}
+    kernels: dict[int, rt.CircuitKernel] = {}  # by id of a fragment circuit: one per circuit
     names_by_instance = []
     for inst in instances:
         names = _fragment_task_names(inst.k, inst.s, dedup)
@@ -397,11 +414,9 @@ def instances_to_graph(
         for name, circuit in zip(names, inst.fragments):
             if name in task_ids:
                 continue
-            task_ids[name] = graph.create_task(
-                name,
-                rt.CircuitKernel(circuit, shots=shots, mode=mode),
-                device_req=rt.QPU,
-            )
+            if id(circuit) not in kernels:
+                kernels[id(circuit)] = rt.CircuitKernel(circuit, shots=shots, mode=mode)
+            task_ids[name] = graph.create_task(name, kernels[id(circuit)], device_req=rt.QPU)
     if not runtime.has_host_kernel(REDUCE_TASK):
         runtime.register_host_kernel(REDUCE_TASK, _reduce_kernel)
     graph.create_task(
@@ -439,13 +454,11 @@ def importance_sampled_estimate(
     gamma = decomp.gamma
     weights = np.array([abs(t.coefficient) for t in terms]) / gamma
 
-    fragments: dict[tuple[PrepLabel | None, Pauli | None], Circuit] = {}
+    fragment = functools.cache(_entangler_fragment)
     rng = np.random.default_rng(seed)
 
     def draw(prep: PrepLabel | None, obs: Pauli | None) -> dict[str, float]:
-        if (prep, obs) not in fragments:
-            fragments[prep, obs] = _entangler_fragment(prep, obs)
-        keys, p = _sampling_table(rt._EXACT.get(fragments[prep, obs], None))
+        keys, p = _sampling_table(rt._EXACT.get(fragment(prep, obs), None))
         counts = rng.multinomial(shots, p)
         return {k: c / shots for k, c in zip(keys, counts) if c}
 
@@ -453,7 +466,7 @@ def importance_sampled_estimate(
     for _ in range(n_samples):
         drawn = [terms[rng.choice(len(terms), p=weights)] for _ in range(2)]
         observed = [draw(prep, obs) for prep, obs in _chain(drawn)]
-        total += _instance_value(math.prod(gamma * t.sign for t in drawn), drawn, observed)
+        total += _instance_value([gamma * t.sign for t in drawn], drawn, observed)
     return QpdEstimate(
         value=total / n_samples, mode="importance", shots=shots, seed=seed
     )

@@ -376,7 +376,7 @@ def lower_qir(spec: QirKernel) -> CircuitKernel:
 
 
 class _ExactCache:
-    """Exact distributions by circuit content and output positions, holding at most
+    """Exact distributions by circuit content key and output positions, holding at most
     ``limit`` outcomes over all entries: the least recently used go first, and a
     wider distribution is never kept. Held distributions are read-only, so their
     sampling tables are kept too. Safe to use from several qpu worker threads."""
@@ -384,11 +384,11 @@ class _ExactCache:
     def __init__(self, limit: int):
         self.limit = limit
         self.held = 0  # outcomes over all entries
-        self._dists: OrderedDict[tuple, ProbDist] = OrderedDict()
+        self._dists: OrderedDict[tuple[str, tuple[int, ...] | None], ProbDist] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, circuit: Circuit, positions: tuple[int, ...] | None) -> ProbDist:
-        key = (circuit.num_qubits, tuple(circuit.ops), positions)
+        key = circuit.content_key(), positions
         with self._lock:
             dist = self._dists.get(key)
             if dist is not None:

@@ -1,14 +1,16 @@
 """Pure qpu work runs once per distinct input: one lowering per QIR text and one
-exact distribution per (circuit content, output positions), with the same
+exact distribution per (circuit content key, output positions), with the same
 payloads as computing each afresh."""
 
 import contextlib
+import hashlib
 import io
 import sys
 import threading
 
 import pytest
 
+from qtask import qpd
 from qtask import runtime as rt
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
@@ -152,3 +154,95 @@ def test_inline_and_file_qir_of_one_program_share_a_lowering(tmp_path, simulate_
     assert rt._lowered.cache_info().currsize == 1
     assert rt.run_qir(inline, 0) == rt.run_qir(by_file, 0)
     assert len(simulate_calls) == 1
+
+
+def test_equal_circuits_built_apart_share_one_entry(simulate_calls):
+    a = Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1))
+    b = Circuit(2).extend([Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1)])
+    assert a is not b and a.content_key() == b.content_key()
+    assert rt._EXACT.get(a, None) is rt._EXACT.get(b, None)
+    assert len(simulate_calls) == 1 and len(rt._EXACT._dists) == 1
+
+
+def test_appending_after_a_lookup_changes_the_key_and_the_distribution(simulate_calls):
+    circuit = Circuit(3).append(Gate.x(0), Gate.mz(0, 0))
+    assert rt._EXACT.get(circuit, None).probabilities == {"1": 1.0}
+    first = circuit.content_key()
+    circuit.append(Gate.x(1), Gate.mz(1, 1))
+    second = circuit.content_key()
+    assert second != first
+    assert rt._EXACT.get(circuit, None).probabilities == {"11": 1.0}
+    circuit.extend([Gate.mz(2, 2)])
+    assert circuit.content_key() not in (first, second)
+    assert rt._EXACT.get(circuit, None).probabilities == {"110": 1.0}
+    assert len(simulate_calls) == 3
+
+
+def test_a_copy_keeps_the_key_until_it_changes():
+    source = Circuit(2).append(Gate.h(0))
+    before = source.copy()  # copied before the key is computed
+    key = source.content_key()
+    after = source.copy()
+    assert before.content_key() == after.content_key() == key
+    after.append(Gate.x(1))
+    assert after.content_key() != key
+    assert source.content_key() == key and before.content_key() == key
+
+
+def test_an_angle_or_the_positions_alone_make_another_entry(simulate_calls):
+    def rotated(angle):
+        return Circuit(1).append(Gate.rx(0, angle), Gate.mz(0, 0))
+
+    near = rotated(0.5)
+    far = rotated(0.5000000000000001)
+    assert near.content_key() != far.content_key()
+    assert rt._EXACT.get(near, None) is not rt._EXACT.get(far, None)
+    assert len(simulate_calls) == 2
+    pair = Circuit(2).append(Gate.x(0), Gate.mz(0, 0), Gate.mz(1, 1))
+    assert rt._EXACT.get(pair, None).probabilities == {"10": 1.0}
+    assert rt._EXACT.get(pair, (1, 0)).probabilities == {"01": 1.0}
+    assert len(simulate_calls) == 4 and len(rt._EXACT._dists) == 4
+
+
+def test_the_instance_batch_builds_each_distinct_fragment_once(monkeypatch):
+    # 4 first fragments (one per observable), 6 x 4 middle ones and 6 last ones
+    built = []
+    fragment = qpd._entangler_fragment
+    monkeypatch.setattr(qpd, "_entangler_fragment", lambda *f: built.append(f) or fragment(*f))
+    instances = qpd.build_ghz_qpd_instances(qpd.canonical_wire_cut(), 2)
+    assert len(built) == len(set(built)) == 34
+    assert len({id(f) for inst in instances for f in inst.fragments}) == 34
+
+
+def test_a_sweep_keys_and_simulates_each_fragment_circuit_once(monkeypatch, simulate_calls):
+    keyed = []
+    content_key = Circuit.content_key
+
+    def counted(circuit):
+        if circuit._key is None:
+            keyed.append(circuit)
+        return content_key(circuit)
+
+    monkeypatch.setattr(Circuit, "content_key", counted)
+    qpd.validate_run(reps=20, shots=1024, seed=5, devices=1)
+    assert len(keyed) <= 34
+    assert len(simulate_calls) <= 34
+
+
+# sha256 of stdout, recorded before content keys, shared fragments and the
+# single-walk estimator; --no-dedup gives every instance its own payloads
+SWEEP_STDOUT_SHA256 = {
+    ("ghz-qpd", "--reps", "20", "--shots", "1024", "--devices", "1", "--seed", "1"):
+        "42678ab59130a721371b058b985e0f56b242f63af57d1046f5fa302e37ce21d8",
+    ("ghz-qpd", "--reps", "20", "--shots", "1024", "--devices", "1", "--seed", "7"):
+        "051b2f71feddfafbfe3cd1e6478032e41694e2be7ff8b29c1cc7766dc2cfb1e6",
+    ("ghz-qpd", "--reps", "2", "--no-dedup", "--seed", "4"):
+        "57ab48b937baab357bd56929f00dddd01e7c8a12299af86506c522554e35641a",
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_STDOUT_SHA256), ids=" ".join)
+def test_sweep_stdout_bytes(capsys, argv):
+    assert main(list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SWEEP_STDOUT_SHA256[argv]

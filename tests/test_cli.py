@@ -185,6 +185,28 @@ def test_graph_cycle_rejected(capsys, tmp_path):
     assert "error" in err.lower()
 
 
+def test_graph_cycle_named_in_one_sentence(capsys, tmp_path):
+    noop = {"type": "host", "name": "noop"}
+    path = tmp_path / "cycle.json"
+    path.write_text(
+        json.dumps(
+            {
+                "devices": {"host": 1},
+                "tasks": [
+                    {"name": "t0", "kernel": noop, "depends": ["t1"]},
+                    {"name": "t1", "kernel": noop, "depends": ["t0"]},
+                ],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    assert err in (
+        "error: dependency cycle: t0 -> t1 -> t0\n",
+        "error: dependency cycle: t1 -> t0 -> t1\n",
+    )
+
+
 def test_graph_failed_task_exit_code(capsys, tmp_path):
     path = tmp_path / "fail.json"
     path.write_text(

@@ -218,6 +218,15 @@ def test_estimate_rejects_zero_shot_histograms():
         estimate_zzzz(results, decomp, mode="sampled")
 
 
+def test_estimate_rejects_an_outcome_that_is_not_fragment_bits():
+    decomp = canonical_wire_cut()
+    results = exact_results(decomp)
+    key = (3, 3)
+    results[key] = InstanceResult(results[key].p1, {"012": 1.0}, results[key].p3)
+    with pytest.raises(ValueError, match="'012' is not"):
+        estimate_zzzz(results, decomp)
+
+
 def test_sampled_estimate_single_run_in_band():
     decomp = canonical_wire_cut()
     results = {}
