@@ -55,7 +55,6 @@ from .runtime import (
     CircuitKernel,
     CycleError,
     DeviceBackend,
-    GraphHandle,
     GraphSpecError,
     HostDevice,
     HostKernel,

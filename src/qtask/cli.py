@@ -157,8 +157,7 @@ def cmd_graph(args) -> int:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
             except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
                 raise GraphSpecError(f"no qpu can run the kernel in task {name!r}: {exc}") from exc
-        handle = runtime.submit(graph, policy=policy, sync=True)
-        results = runtime.wait(handle)
+        results = runtime.wait(runtime.submit(graph, policy=policy))
     finally:
         runtime.shutdown()
 
@@ -181,6 +180,12 @@ def cmd_ghz_qpd(args) -> int:
     if args.mode == "sampled" and args.shots < 1:
         print("error: --shots must be at least 1 in sampled mode", file=sys.stderr)
         return 2
+    if args.csv:
+        try:  # before the sweep, so that a bad path prints no estimate
+            open(args.csv, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write --csv {args.csv!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     estimate = validate_run(
         reps=args.reps,
         shots=args.shots,

@@ -92,7 +92,7 @@ _QUBIT_ARG_RE = re.compile(
 _RESULT_ARG_RE = re.compile(
     r"^%Result\*\s+(?:null|inttoptr\s*\(\s*i64\s+(\d+)\s+to\s+%Result\*\s*\))$"
 )
-_DOUBLE_ARG_RE = re.compile(r"^double\s+([-+]?[0-9][0-9.eE+-]*)$")
+_DOUBLE_ARG_RE = re.compile(r"^double\s+([-+]?[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)$")
 _ATTR_QUBITS_RE = re.compile(r'"required_num_qubits"\s*=\s*"(\d+)"')
 _LABEL_RE = re.compile(r"^\s*[\w.$-]+:\s*(?:;.*)?$")
 _BRANCH_RE = re.compile(r"^\s*br\s")

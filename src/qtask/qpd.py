@@ -504,8 +504,7 @@ def validate_run(
                 seed=derive_seed(seed, "rep", rep),
                 dedup=dedup,
             )
-            handle = runtime.submit(graph, policy="roundrobin", sync=True)
-            results = runtime.wait(handle)
+            results = runtime.wait(runtime.submit(graph, policy="roundrobin"))
             reduce_res = results[graph.task_id_by_name(REDUCE_TASK)]
             if reduce_res.status is not rt.TaskState.COMPLETED:
                 raise RuntimeError(f"reduction failed: {reduce_res.error}")

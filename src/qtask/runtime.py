@@ -19,7 +19,6 @@ across scheduling policies and device counts.
 from __future__ import annotations
 
 import enum
-import functools
 import graphlib
 import itertools
 import json
@@ -77,7 +76,7 @@ class HostKernel:
 @dataclass(frozen=True)
 class QirKernel:
     """QIR program given as inline text or a .ll path; sampled unless shots=0.
-    ``create_task`` reads, lowers and checks each spec once per graph, to the
+    ``create_task`` reads and lowers each spec once per graph, to the
     CircuitKernel that every task naming it shares (``lower_qir``)."""
 
     source: str | None = None
@@ -177,7 +176,8 @@ class TaskGraph:
         self.seed = seed
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
-        self._lowered: dict[QirKernel, CircuitKernel] = {}  # each QIR spec's checked kernel
+        self._kernels: dict[QirKernel, CircuitKernel] = {}  # each QIR spec, lowered
+        self._checked: set[str] = set()  # content keys of circuits that passed check_simulable
         self.dependents: dict[int, list[int]] = {}
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
@@ -196,7 +196,8 @@ class TaskGraph:
         reads: Iterable["MemObject"] = (),
         writes: Iterable["MemObject"] = (),
     ) -> int:
-        """Add a task in Created state; returns its id. QIR lowering and qpu checks raise here."""
+        """Add a task in Created state; returns its id. QIR lowering and qpu checks
+        raise here; each QIR spec is lowered, and each circuit content checked, once."""
         if self.submitted:
             raise ValueError("graph already submitted")
         if name in self._by_name:
@@ -204,14 +205,15 @@ class TaskGraph:
         if isinstance(kernel, str):
             kernel = QirKernel(path=kernel) if kernel.endswith(".ll") else HostKernel(kernel)
         if isinstance(kernel, QirKernel):
-            lowered = self._lowered.get(kernel)
-            if lowered is None:
-                lowered = lower_qir(kernel)
-                check_simulable(lowered.circuit)  # stored only once it passes
-                self._lowered[kernel] = lowered
-            kernel = lowered
-        elif isinstance(kernel, CircuitKernel):
-            check_simulable(kernel.circuit)  # a qpu runs statevector only
+            if kernel not in self._kernels:
+                self._kernels[kernel] = lower_qir(kernel)
+            kernel = self._kernels[kernel]
+        if isinstance(kernel, CircuitKernel):
+            # a qpu runs statevector only; a circuit grown by append has a new key
+            key = kernel.circuit.content_key()
+            if key not in self._checked:
+                check_simulable(kernel.circuit)
+                self._checked.add(key)  # only once it passes
         elif not isinstance(kernel, HostKernel):
             raise ValueError(f"not a kernel spec: {kernel!r}")
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):
@@ -231,26 +233,15 @@ class TaskGraph:
     def task_id_by_name(self, name: str) -> int:
         return self._by_name[name]
 
-    def all_terminal(self) -> bool:
-        return self._unfinished == 0
+    def done(self) -> bool:
+        """Whether every task has completed or failed."""
+        with self._runtime._cond:
+            return self._unfinished == 0
 
     def _record(self, event: str, task: Task, device_id: int | None) -> int:
         seq = next(self._seq)
         self.trace.append((seq, event, task.id, device_id))
         return seq
-
-
-@dataclass
-class GraphHandle:
-    runtime: "Runtime"
-    graph: TaskGraph
-
-    def wait(self, timeout: float | None = None) -> dict[int, TaskResult]:
-        return self.runtime.wait(self, timeout=timeout)
-
-    def done(self) -> bool:
-        with self.runtime._cond:
-            return self.graph.all_terminal()
 
 
 # --------------------------------------------------------------------------
@@ -334,17 +325,8 @@ class DeviceBackend:
         raise NotImplementedError
 
 
-# Pure qpu work is done once per distinct input, for every runtime and thread.
-_LOWERED_PROGRAMS = 256  # QIR texts whose lowering is kept
+# Each exact distribution is simulated once per distinct input, for every runtime and thread.
 _EXACT_OUTCOMES = 1 << 14  # outcomes the exact-distribution cache holds over all entries
-
-
-@functools.lru_cache(maxsize=_LOWERED_PROGRAMS)
-def _lowered(text: str) -> tuple[Circuit, tuple[int, ...] | None]:
-    prog = parse_qir(text)
-    circuit = lower_to_circuit(prog)  # rejects recorded slots that are never measured
-    positions = output_positions(prog)
-    return circuit, None if positions is None else tuple(positions)
 
 
 class InputFileError(ValueError):
@@ -366,13 +348,11 @@ def read_input(path: str | Path) -> str:
 
 
 def lower_qir(spec: QirKernel) -> CircuitKernel:
-    """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution.
-    Each program text is lowered once; every kernel gets its own copy of the circuit."""
-    circuit, positions = _lowered(
-        spec.source if spec.path is None else read_input(find_kernel_file(spec.path))
-    )
+    """Read, parse and lower a QIR kernel; ``shots == 0`` means the exact distribution."""
+    prog = parse_qir(spec.source if spec.path is None else read_input(find_kernel_file(spec.path)))
+    circuit = lower_to_circuit(prog)  # rejects recorded slots that are never measured
     mode = "exact" if spec.shots == 0 else "sampled"
-    return CircuitKernel(circuit.copy(), spec.shots, spec.seed, mode, positions)
+    return CircuitKernel(circuit, spec.shots, spec.seed, mode, output_positions(prog))
 
 
 class _ExactCache:
@@ -537,8 +517,9 @@ class Runtime:
     def create_graph(self, seed: int = 0) -> TaskGraph:
         return TaskGraph(self, next(self._graph_count), seed)
 
-    def submit(self, graph: TaskGraph, policy: str = "default", sync: bool = False) -> GraphHandle:
-        """Mark all tasks Submitted, promote dependency-free ones, dispatch.
+    def submit(self, graph: TaskGraph, policy: str = "default", sync: bool = False) -> TaskGraph:
+        """Mark all tasks Submitted, promote dependency-free ones, dispatch, and
+        return the graph, which ``wait`` and ``TaskGraph.done`` take.
 
         A cycle is rejected before any task changes state. With sync=True the
         call blocks until the graph is terminal.
@@ -575,20 +556,18 @@ class Runtime:
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
             self._dispatch()
-        handle = GraphHandle(self, graph)
         if sync:
-            self.wait(handle)
-        return handle
+            self.wait(graph)
+        return graph
 
-    def wait(self, handle: GraphHandle, timeout: float | None = None) -> dict[int, TaskResult]:
+    def wait(self, graph: TaskGraph, timeout: float | None = None) -> dict[int, TaskResult]:
         """Block until the graph is terminal; idempotent.
 
         With a timeout, returns a snapshot of the results produced so far.
         """
-        graph = handle.graph
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not graph.all_terminal():
+            while graph._unfinished:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     break

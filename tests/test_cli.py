@@ -725,3 +725,40 @@ def test_graph_forward_reference_stdout_independent_of_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+_RX_QIR = emit_qir(Circuit(1).append(Gate.rx(0, 1.5), Gate.mz(0, 0)))
+
+
+@pytest.mark.parametrize("double", ["1.2.3", "1e5e5", "1e"])
+def test_exec_malformed_double_is_usage_error(capsys, tmp_path, double):
+    # each matches the operand's characters but is not a number
+    path = tmp_path / "rx.ll"
+    path.write_text(_RX_QIR.replace("double 1.5", f"double {double}"))
+    code, out, err = run_cli(capsys, "exec", str(path))
+    assert code == 2 and out == ""
+    assert f"malformed double operand 'double {double}'" in _one_error_line(err)
+
+
+@pytest.mark.parametrize("field", ["source", "file"])
+def test_graph_malformed_double_is_usage_error(capsys, tmp_path, field):
+    program = tmp_path / "rx.ll"
+    program.write_text(_RX_QIR.replace("double 1.5", "double 1.2.3"))
+    kernel = {"type": "qir", field: program.read_text() if field == "source" else str(program)}
+    spec = {"devices": {"qpu": 1, "host": 0}, "tasks": [{"name": "rx", "kernel": kernel}]}
+    path = tmp_path / "rx.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert "'rx'" in line and "malformed double operand" in line
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_ghz_qpd_unwritable_csv_fails_before_the_sweep(capsys, tmp_path, monkeypatch, where):
+    csv_path = tmp_path if where == "directory" else tmp_path / "missing" / "vals.csv"
+    sweeps = []
+    monkeypatch.setattr(cli, "validate_run", lambda **kw: sweeps.append(kw))
+    code, out, err = run_cli(capsys, "ghz-qpd", "--csv", str(csv_path))
+    assert code == 2 and out == "" and sweeps == []
+    assert str(csv_path) in _one_error_line(err)
