@@ -340,7 +340,10 @@ _KERNEL_DIR = Path(__file__).parent / "kernels"
 
 def find_kernel_file(name) -> Path:
     """Resolve a ``.ll`` path, falling back to the kernels shipped in-package.
-    A name the OS cannot look up, such as one too long, counts as not found."""
+    A name the OS cannot look up, such as one too long, counts as not found,
+    and so does an empty one, which ``Path`` would read as ``.``."""
+    if name == "":
+        raise FileNotFoundError("QIR kernel '' not found: the file name is empty")
     path = Path(name)
     if os.path.exists(path):
         return path

@@ -13,7 +13,8 @@ when that device's copy is stale, and transfer counts are reported per task.
 
 Determinism: kernels that sample take their seed from the kernel spec or,
 when unset, derive it from (graph seed, task id), so payloads are identical
-across scheduling policies and device counts.
+across scheduling policies and device counts. ``submit`` fixes each sampled
+qpu task's seed and hashes the graph's seeds in one pass (``seed_states``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import find_kernel_file, lower_to_circuit, output_positions, parse_qir
-from .seeding import derive_seed
+from .seeding import derive_seed, seed_states
 from .simulator import (
     MAX_SHOTS,
     ProbDist,
@@ -162,6 +163,9 @@ class Task:
         self.state = TaskState.CREATED
         self.result: TaskResult | None = None
         self.remaining_deps = 0
+        # a sampled qpu task's seed and its SeedState (None: default_rng(seed)), set by submit
+        self.seed: int | None = None
+        self.seed_state = None
         self.running_seq: int | None = None
         self.terminal_seq: int | None = None
 
@@ -391,9 +395,12 @@ class _ExactCache:
 _EXACT = _ExactCache(_EXACT_OUTCOMES)
 
 
-def run_qir(spec: CircuitKernel, seed: int, accelerator="statevector") -> ProbDist | ShotHistogram:
+def run_qir(
+    spec: CircuitKernel, seed: int, accelerator="statevector", rng=None
+) -> ProbDist | ShotHistogram:
     """The one execution path of qpu tasks and ``qtask exec``: statevector returns the
-    exact distribution in ``exact`` mode; otherwise both accelerators sample from ``seed``."""
+    exact distribution in ``exact`` mode; otherwise both accelerators sample from ``seed``.
+    A statevector sample draws from ``rng``, the generator of ``seed``, when it is given."""
     if accelerator not in ("statevector", "trajectory"):
         raise ValueError(f"unknown accelerator {accelerator!r}")
     if accelerator == "trajectory":
@@ -402,7 +409,20 @@ def run_qir(spec: CircuitKernel, seed: int, accelerator="statevector") -> ProbDi
     dist = _EXACT.get(spec.circuit, spec.positions)
     if spec.mode == "exact":  # the payload is the caller's to change
         return ProbDist(dist.measured_qubits, dict(dist.probabilities))
-    return sample_shots(dist, spec.shots, seed)
+    return sample_shots(dist, spec.shots, seed, rng)
+
+
+def _fix_seeds(graph: TaskGraph):
+    """Give each sampled qpu task its seed, the kernel's or one derived from (graph
+    seed, task id), and the seed's SeedState, all hashed in one pass."""
+    sampled = []
+    for task in graph.tasks.values():
+        kernel = task.kernel
+        if isinstance(kernel, CircuitKernel) and kernel.mode == "sampled":
+            task.seed = derive_seed(graph.seed, task.id) if kernel.seed is None else kernel.seed
+            sampled.append(task)
+    for task, state in zip(sampled, seed_states([t.seed for t in sampled])):
+        task.seed_state = state
 
 
 class QpuDevice(DeviceBackend):
@@ -411,8 +431,8 @@ class QpuDevice(DeviceBackend):
     device_class = QPU
 
     def run_kernel(self, task, graph, runtime):
-        seed = task.kernel.seed
-        return run_qir(task.kernel, derive_seed(graph.seed, task.id) if seed is None else seed)
+        state = task.seed_state
+        return run_qir(task.kernel, task.seed, rng=None if state is None else state.generator())
 
 
 class HostDevice(DeviceBackend):
@@ -539,6 +559,7 @@ class Runtime:
             if any(t.deps and max(t.deps) >= t.id for t in graph.tasks.values()):
                 graphlib.TopologicalSorter({t.id: t.deps for t in graph.tasks.values()}).prepare()
 
+            _fix_seeds(graph)
             graph.submitted = True
             graph._order = next(self._submits)
             # in id order, so placement does not depend on the order in which

@@ -8,6 +8,9 @@ expectation values.
 
 Randomness: every sampling entry point takes an explicit integer seed and
 uses numpy's PCG64 generator, so outputs are reproducible bit-for-bit.
+:func:`sample_shots` also takes the seed's generator, made ahead of time from
+a qpu task's ``SeedState``, as ``rng``: it draws what ``default_rng(seed)``
+would.
 """
 
 from __future__ import annotations
@@ -259,14 +262,15 @@ def _sampling_table(dist: ProbDist) -> tuple[list[str], np.ndarray]:
     return table
 
 
-def sample_shots(dist: ProbDist, shots: int, seed: int) -> ShotHistogram:
-    """Seeded multinomial sample of a distribution; zero counts are dropped."""
+def sample_shots(dist: ProbDist, shots: int, seed: int, rng=None) -> ShotHistogram:
+    """Seeded multinomial sample of a distribution, drawn from ``rng`` if given,
+    else from ``default_rng(seed)``; zero counts are dropped."""
     if shots < 0:
         raise ValueError("shots must be non-negative")
     if shots == 0:
         return ShotHistogram({}, 0, seed)
     keys, p = _sampling_table(dist)
-    counts = np.random.default_rng(seed).multinomial(shots, p)
+    counts = np.random.default_rng(seed if rng is None else rng).multinomial(shots, p)
     return ShotHistogram(
         {k: int(c) for k, c in zip(keys, counts) if c > 0}, shots, seed
     )

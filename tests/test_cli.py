@@ -605,6 +605,14 @@ def test_exec_directory_is_usage_error(capsys, tmp_path):
     assert str(tmp_path) in _one_error_line(err)
 
 
+def test_exec_empty_file_name_is_usage_error(capsys):
+    # Path("") is ".", the working directory, which must not stand in for the name
+    code, out, err = run_cli(capsys, "exec", "")
+    assert code == 2 and out == ""
+    line = _one_error_line(err)
+    assert "''" in line and "'.'" not in line
+
+
 def test_exec_shots_above_cap_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "exec", "bell.ll", "-s", str(10**20))
     assert code == 2 and out == ""
