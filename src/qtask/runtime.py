@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import find_kernel_file, lower_to_circuit, output_positions, parse_qir
-from .seeding import derive_seed, seed_states
+from .seeding import seed_deriver, seed_states
 from .simulator import (
     MAX_SHOTS,
     ProbDist,
@@ -159,24 +159,20 @@ class Task:
         self.device_req = device_req
         self.reads = tuple(reads)
         self.writes = tuple(writes)
-        self.graph: "TaskGraph | None" = None  # set by create_task, cleared when the graph ends
         self.state = TaskState.CREATED
         self.result: TaskResult | None = None
         self.remaining_deps = 0
         # a sampled qpu task's seed and its SeedState (None: default_rng(seed)), set by submit
         self.seed: int | None = None
         self.seed_state = None
-        self.running_seq: int | None = None
-        self.terminal_seq: int | None = None
 
     def __repr__(self):
         return f"Task(id={self.id}, name={self.name!r}, state={self.state.value})"
 
 
 class TaskGraph:
-    def __init__(self, runtime: "Runtime", graph_id: int, seed: int):
+    def __init__(self, runtime: "Runtime", seed: int):
         self._runtime = runtime
-        self.graph_id = graph_id
         self.seed = seed
         self.tasks: dict[int, Task] = {}
         self._by_name: dict[str, int] = {}
@@ -185,10 +181,10 @@ class TaskGraph:
         self.dependents: dict[int, list[int]] = {}
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
-        self.submitted = False
-        self._order = 0  # submit order among the runtime's graphs, set by submit
+        self._order: int | None = None  # submit rank among the runtime's graphs, set by submit
+        # the one record of run order: (seq, event, task id, device id), seq being the
+        # entry's index; a task has a "running" entry if it ran, then a terminal one
         self.trace: list[tuple[int, str, int, int | None]] = []
-        self._seq = itertools.count()
         self._unfinished = 0  # tasks not yet completed or failed
 
     def create_task(
@@ -202,7 +198,7 @@ class TaskGraph:
     ) -> int:
         """Add a task in Created state; returns its id. QIR lowering and qpu checks
         raise here; each QIR spec is lowered, and each circuit content checked, once."""
-        if self.submitted:
+        if self._order is not None:
             raise ValueError("graph already submitted")
         if name in self._by_name:
             raise ValueError(f"duplicate task name {name!r}")
@@ -227,9 +223,7 @@ class TaskGraph:
             if d not in self.tasks:
                 raise ValueError(f"unknown dependency id {d}")
         task_id = len(self.tasks)
-        task = Task(task_id, name, kernel, deps, device_req, reads, writes)
-        task.graph = self
-        self.tasks[task_id] = task
+        self.tasks[task_id] = Task(task_id, name, kernel, deps, device_req, reads, writes)
         self._by_name[name] = task_id
         self._unfinished += 1
         return task_id
@@ -242,10 +236,8 @@ class TaskGraph:
         with self._runtime._cond:
             return self._unfinished == 0
 
-    def _record(self, event: str, task: Task, device_id: int | None) -> int:
-        seq = next(self._seq)
-        self.trace.append((seq, event, task.id, device_id))
-        return seq
+    def _record(self, event: str, task: Task, device_id: int | None):
+        self.trace.append((len(self.trace), event, task.id, device_id))
 
 
 # --------------------------------------------------------------------------
@@ -315,10 +307,11 @@ class DeviceBackend:
 
     def _loop(self, runtime: "Runtime"):
         while True:
-            task = self._queue.get()
-            if task is _SHUTDOWN:
+            item = self._queue.get()
+            if item is _SHUTDOWN:
                 return
-            runtime._execute_on(self, task)
+            runtime._execute_on(self, *item)
+            del item  # an idle worker holds no graph, so an ended one is freed at once
 
     def _stop(self):
         self._queue.put(_SHUTDOWN)
@@ -415,11 +408,12 @@ def run_qir(
 def _fix_seeds(graph: TaskGraph):
     """Give each sampled qpu task its seed, the kernel's or one derived from (graph
     seed, task id), and the seed's SeedState, all hashed in one pass."""
+    derive = seed_deriver(graph.seed)
     sampled = []
     for task in graph.tasks.values():
         kernel = task.kernel
         if isinstance(kernel, CircuitKernel) and kernel.mode == "sampled":
-            task.seed = derive_seed(graph.seed, task.id) if kernel.seed is None else kernel.seed
+            task.seed = derive(task.id) if kernel.seed is None else kernel.seed
             sampled.append(task)
     for task, state in zip(sampled, seed_states([t.seed for t in sampled])):
         task.seed_state = state
@@ -498,12 +492,12 @@ class Runtime:
         self._devices: dict[int, DeviceBackend] = {}
         self._by_class: dict[str, list[DeviceBackend]] = {}  # each class's devices by id
         self._host_kernels: dict[str, Callable] = {}
-        self._graph_count = itertools.count()
         self._mem_count = itertools.count()
-        self._active: dict[int, TaskGraph] = {}  # submitted graphs not yet ended
+        self._active: dict[int, TaskGraph] = {}  # submitted graphs not yet ended, by _order
         self._submits = itertools.count()
-        # unplanned ready tasks of all graphs, one (graph._order, id, task) heap per device class
-        self._ready: dict[str, list[tuple[int, int, Task]]] = {}
+        # unplanned ready tasks of all graphs, one heap per device class of
+        # (graph._order, id, graph, task): (order, id) is unique, so graphs are never compared
+        self._ready: dict[str, list[tuple[int, int, TaskGraph, Task]]] = {}
         self._closed = False
 
     # -- registries
@@ -535,7 +529,7 @@ class Runtime:
     # -- graphs
 
     def create_graph(self, seed: int = 0) -> TaskGraph:
-        return TaskGraph(self, next(self._graph_count), seed)
+        return TaskGraph(self, seed)
 
     def submit(self, graph: TaskGraph, policy: str = "default", sync: bool = False) -> TaskGraph:
         """Mark all tasks Submitted, promote dependency-free ones, dispatch, and
@@ -551,7 +545,7 @@ class Runtime:
         with self._cond:
             if self._closed:
                 raise ValueError("runtime is shut down")
-            if graph.submitted:
+            if graph._order is not None:
                 raise ValueError("graph already submitted")
             # create_task takes only existing ids, so dependencies below their
             # task's id prove the graph acyclic in O(E). graphlib checks any other
@@ -560,19 +554,18 @@ class Runtime:
                 graphlib.TopologicalSorter({t.id: t.deps for t in graph.tasks.values()}).prepare()
 
             _fix_seeds(graph)
-            graph.submitted = True
             graph._order = next(self._submits)
             # in id order, so placement does not depend on the order in which
             # tasks become ready
             graph.plan = _plan(graph.tasks.values(), self.devices, policy)
-            graph.dependents = {tid: [] for tid in graph.tasks}
+            graph.dependents = {tid: [] for tid in graph.tasks}  # a key for every task
             for task in graph.tasks.values():
-                self._set_state(task, TaskState.SUBMITTED)
+                self._set_state(graph, task, TaskState.SUBMITTED)
                 task.remaining_deps = len(task.deps)
                 for d in task.deps:
                     graph.dependents[d].append(task.id)
             if graph.tasks:
-                self._active[graph.graph_id] = graph
+                self._active[graph._order] = graph
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
@@ -645,38 +638,34 @@ class Runtime:
 
     # -- internals (these run under self._cond unless noted)
 
-    def _set_state(self, task: Task, new: TaskState):
+    def _set_state(self, graph: TaskGraph, task: Task, new: TaskState):
         if (task.state, new) not in _ALLOWED_TRANSITIONS:
             raise AssertionError(
                 f"illegal transition {task.state.value} -> {new.value} for {task!r}"
             )
         task.state = new
         if new in TERMINAL_STATES:
-            graph = task.graph
             graph._unfinished -= 1
-            if graph._unfinished == 0:
-                # the graph has ended: forget it, wake its waiters, and unlink its
-                # tasks, so that reference counting frees it, not the cyclic collector
-                del self._active[graph.graph_id]
-                for t in graph.tasks.values():
-                    t.graph = None
+            if graph._unfinished == 0:  # the graph has ended: forget it, wake its waiters
+                del self._active[graph._order]
                 self._cond.notify_all()
 
     def _make_ready(self, graph: TaskGraph, task: Task):
         # a task with a planned device is queued at once, so it occupies that
         # device; the others wait in their class's ready heap for _dispatch
-        self._set_state(task, TaskState.READY)
+        self._set_state(graph, task, TaskState.READY)
         if task.id in graph.plan:
             self._place(graph, task, graph.plan[task.id])
         else:
-            heappush(self._ready.setdefault(task.kernel.device_class, []), (graph._order, task.id, task))
+            heap = self._ready.setdefault(task.kernel.device_class, [])
+            heappush(heap, (graph._order, task.id, graph, task))
 
     def _place(self, graph: TaskGraph, task: Task, device: DeviceBackend | None):
         if device is None:
             self._fail_task(graph, task, None, "no-capable-device", 0)
             return
         device.pending += 1
-        device._queue.put(task)
+        device._queue.put((graph, task))
 
     def _dispatch(self):
         # each idle device, lowest id first, takes the head of its class's heap;
@@ -684,19 +673,19 @@ class Runtime:
         for kind, heap in self._ready.items():
             if heap:
                 for device in [d for d in self._by_class[kind] if d.pending == 0][:len(heap)]:
-                    task = heappop(heap)[2]
-                    self._place(task.graph, task, device)
+                    _, _, graph, task = heappop(heap)
+                    self._place(graph, task, device)
 
     def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
-        self._set_state(task, result.status)
+        self._set_state(graph, task, result.status)
         task.result = result
-        task.terminal_seq = graph._record(result.status.value, task, result.device_id)
+        graph._record(result.status.value, task, result.device_id)
 
     def _complete_task(self, graph: TaskGraph, task: Task, device, payload, transfers):
         result = TaskResult(TaskState.COMPLETED, payload, device_id=device.id, transfer_count=transfers)
         self._finish(graph, task, result)
         # ascending id, so queue and failure order follow task ids
-        for dep_id in graph.dependents.get(task.id, ()):
+        for dep_id in graph.dependents[task.id]:
             dependent = graph.tasks[dep_id]
             dependent.remaining_deps -= 1
             if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
@@ -708,14 +697,14 @@ class Runtime:
     def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
         self._mark_failed(graph, task, error, None if device is None else device.id, transfers)
         # fail-fast: transitive dependents never run
-        stack = list(graph.dependents.get(task.id, ()))
+        stack = list(graph.dependents[task.id])
         while stack:
             dep_id = stack.pop()
             dependent = graph.tasks[dep_id]
             if dependent.state in TERMINAL_STATES:
                 continue
             self._mark_failed(graph, dependent, "dependency-failed")
-            stack.extend(graph.dependents.get(dep_id, ()))
+            stack.extend(graph.dependents[dep_id])
 
     def _prepare_reads(self, task: Task, device: DeviceBackend) -> int:
         if not task.reads:
@@ -732,18 +721,17 @@ class Runtime:
             for obj in task.writes:
                 obj._write(device.id, payload)
 
-    def _execute_on(self, device: DeviceBackend, task: Task):
+    def _execute_on(self, device: DeviceBackend, graph: TaskGraph, task: Task):
         # runs on the device worker thread
-        graph = task.graph
         with self._cond:
             if task.state in TERMINAL_STATES:  # failed by shutdown() while queued
                 device.pending -= 1
                 return
-            self._set_state(task, TaskState.RUNNING)
+            self._set_state(graph, task, TaskState.RUNNING)
             device.running += 1
             if device.running != 1:
                 raise AssertionError(f"device {device.id} double occupancy")
-            task.running_seq = graph._record("running", task, device.id)
+            graph._record("running", task, device.id)
         transfers, error = 0, None
         try:
             transfers = self._prepare_reads(task, device)

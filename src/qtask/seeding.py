@@ -16,7 +16,7 @@ and every sampled task still draws exactly what ``default_rng(seed)`` draws.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -27,12 +27,25 @@ _SEED_MASK = (1 << 63) - 1
 def derive_seed(base: int, *components: int | str) -> int:
     """Derive a child seed from ``base`` and a component path.
 
-    Uses SHA-256 over the decimal/text rendering of the inputs and keeps the
-    low 63 bits, so the mapping is stable across platforms and releases.
+    Uses SHA-256 over the decimal/text rendering of the inputs, joined by
+    ``:``, and keeps the low 63 bits, so the mapping is stable across
+    platforms and releases.
     """
-    text = ":".join([str(base), *(str(c) for c in components)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & _SEED_MASK
+    *path, last = base, *components
+    return seed_deriver(*path)(last)
+
+
+def seed_deriver(*path: int | str) -> Callable[[int | str], int]:
+    """``derive_seed(*path, c)`` as a function of ``c``: the text before ``c``
+    is hashed once, and each call copies that hash state."""
+    prefix = hashlib.sha256("".join(f"{p}:" for p in path).encode("utf-8"))
+
+    def derive(last: int | str) -> int:
+        child = prefix.copy()
+        child.update(str(last).encode("utf-8"))
+        return int.from_bytes(child.digest()[:8], "big") & _SEED_MASK
+
+    return derive
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx). Each call of its hash

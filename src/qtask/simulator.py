@@ -172,9 +172,6 @@ class ProbDist:
         if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
-    def as_probabilities(self) -> dict[str, float]:
-        return self.probabilities
-
 
 @dataclass
 class ShotHistogram:
@@ -188,11 +185,6 @@ class ShotHistogram:
             raise ValueError(f"counts sum to {total}, expected {self.shots} shots")
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("negative count")
-
-    def as_probabilities(self) -> dict[str, float]:
-        if self.shots == 0:
-            raise ValueError("histogram has zero shots; no frequencies available")
-        return {k: c / self.shots for k, c in self.counts.items()}
 
 
 def _slot_ordered_qubits(circuit: Circuit) -> tuple[int, ...]:

@@ -153,8 +153,9 @@ def test_criterion_07_fanout_scheduling():
 
 
 def _replay_trace_asserts(graph):
-    occupied = {}
-    for _, event, task_id, device_id in graph.trace:
+    occupied, running_seq, terminal_seq = {}, {}, {}
+    for seq, event, task_id, device_id in graph.trace:
+        (running_seq if event == "running" else terminal_seq)[task_id] = seq
         if event == "running":
             assert device_id not in occupied, "double occupancy"
             occupied[device_id] = task_id
@@ -163,7 +164,7 @@ def _replay_trace_asserts(graph):
     for task in graph.tasks.values():
         assert task.state is TaskState.COMPLETED
         for dep in task.deps:
-            assert graph.tasks[dep].terminal_seq < task.running_seq, "dependency order"
+            assert terminal_seq[dep] < running_seq[task.id], "dependency order"
 
 
 def test_criterion_08_dag_safety_property():

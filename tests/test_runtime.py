@@ -138,9 +138,9 @@ def test_chain_runs_in_dependency_order():
         b = graph.create_task("b", HostKernel("nop"), deps=[a])
         c = graph.create_task("c", HostKernel("nop"), deps=[b])
         runtime.wait(runtime.submit(graph))
-        ta, tb, tc = graph.tasks[a], graph.tasks[b], graph.tasks[c]
-        assert ta.terminal_seq < tb.running_seq
-        assert tb.terminal_seq < tc.running_seq
+        running, terminal = _seqs(graph)
+        assert terminal[a] < running[b]
+        assert terminal[b] < running[c]
 
 
 def test_failure_propagation():
@@ -405,7 +405,17 @@ def test_dmem_size_mismatch_and_use_after_free():
 # -- random DAG properties (small sanity; the acceptance suite scales this up)
 
 
+def _seqs(graph):
+    """Each task's running and terminal sequence numbers, read from ``graph.trace``:
+    two dicts by task id, the first without the tasks that never ran."""
+    running, terminal = {}, {}
+    for seq, event, task_id, _ in graph.trace:
+        (running if event == "running" else terminal)[task_id] = seq
+    return running, terminal
+
+
 def _check_trace(graph):
+    running_seq, terminal_seq = _seqs(graph)
     running = {}
     for seq, event, task_id, device_id in graph.trace:
         if event == "running":
@@ -417,7 +427,7 @@ def _check_trace(graph):
         if task.state is not TaskState.COMPLETED:
             continue
         for dep in task.deps:
-            assert graph.tasks[dep].terminal_seq < task.running_seq
+            assert terminal_seq[dep] < running_seq[task.id]
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -551,7 +561,8 @@ def test_default_any_and_own_class_requirements_share_one_queue():
         second = graph.create_task("second", bell_kernel(8), device_req=QPU)
         results = runtime.wait(runtime.submit(graph, policy="default"))
     assert all(results[t].status is TaskState.COMPLETED for t in (first, second))
-    assert graph.tasks[first].running_seq < graph.tasks[second].running_seq
+    running, _ = _seqs(graph)
+    assert running[first] < running[second]
 
 
 def test_waiter_wakes_once_per_graph(monkeypatch):
@@ -885,17 +896,36 @@ def test_set_state_allows_exactly_the_lifecycle_transitions(old, new):
         graph.create_task("u", HostKernel("x"))  # keeps the graph unfinished
         task.state = old
         if (old, new) in _LEGAL_TRANSITIONS:
-            runtime._set_state(task, new)
+            runtime._set_state(graph, task, new)
             assert task.state is new
         else:
             with pytest.raises(AssertionError, match=f"illegal transition {old.value} -> {new.value} "):
-                runtime._set_state(task, new)
+                runtime._set_state(graph, task, new)
             assert task.state is old
 
 
+def test_an_idle_worker_holds_no_ended_graph():
+    # the worker that ran a graph's last task lets go of it before waiting for
+    # the next, so the graph is freed while the runtime runs on
+    gc.disable()
+    try:
+        with make_runtime(qpu=0, host=1) as runtime:
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            graph.create_task("t", HostKernel("nop"))
+            ref = weakref.ref(runtime.submit(graph, sync=True))
+            del graph
+            deadline = time.monotonic() + 10
+            while ref() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_ended_graph_is_freed_without_the_cyclic_collector():
-    # the runtime unlinks an ended graph's tasks from it, so dropping the graph
-    # frees it at once, with no reference cycle left for gc to find
+    # no task refers to its graph, so dropping an ended graph frees it at once,
+    # with no reference cycle left for gc to find
     gc.disable()
     try:
         with make_runtime(qpu=0, host=1) as runtime:
@@ -905,7 +935,6 @@ def test_ended_graph_is_freed_without_the_cyclic_collector():
             for i in range(10):
                 prev = [graph.create_task(f"t{i}", HostKernel("nop", (i,)), deps=prev)]
             handle = runtime.submit(graph, sync=True)
-            assert all(t.graph is None for t in graph.tasks.values())
             task, ref = graph.tasks[0], weakref.ref(graph)
         del graph, handle
         assert ref() is None

@@ -5,8 +5,12 @@ so every check here compares with the numpy that runs the tests: a numpy
 whose hash differed would fail them. The runtime tests check that each
 submitted graph hashes its sampling seeds once and that every sampled qpu task
 draws from a generator made from them, while a seed outside the hash's range
-keeps ``default_rng(seed)``.
+keeps ``default_rng(seed)``. ``seed_deriver``, which hashes a graph's seed
+once for all its task ids, is checked against ``derive_seed`` and against
+the SHA-256 definition that both implement.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ import qtask.seeding
 from qtask.circuit import Circuit, Gate
 from qtask.cli import main
 from qtask.runtime import CircuitKernel, TaskState, make_runtime
-from qtask.seeding import SeedState, seed_states, seed_words
+from qtask.seeding import SeedState, derive_seed, seed_deriver, seed_states, seed_words
 from qtask.simulator import sample_shots, simulate
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
@@ -53,6 +57,35 @@ def test_seed_words_match_seed_sequence_on_random_seeds(seeds):
 
 def test_seed_words_of_no_seeds():
     assert seed_words([]).shape == (0, 4)
+
+
+def _sha256_seed(*path) -> int:
+    # derive_seed's definition, spelled out: the low 63 bits of the first 8
+    # bytes of SHA-256 over the path's text, joined by ":"
+    digest = hashlib.sha256(":".join(map(str, path)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") & (2**63 - 1)
+
+
+def _assert_derivations(base, ids):
+    derive = seed_deriver(base)
+    for task_id in ids:
+        assert derive(task_id) == derive_seed(base, task_id) == _sha256_seed(base, task_id)
+    assert seed_deriver(base, "rep")(7) == derive_seed(base, "rep", 7) == _sha256_seed(base, "rep", 7)
+    assert derive_seed(base) == _sha256_seed(base)
+
+
+@pytest.mark.parametrize("base", [-(2**70), -1, 0, 2**64, 2**64 + 1, 2**100])
+def test_seed_deriver_at_the_edges(base):
+    _assert_derivations(base, [0, 1, 79, -1, 2**64, "t0", ""])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.integers(-(2**80), 2**80),
+    st.lists(st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=8)), max_size=20),
+)
+def test_seed_deriver_derives_what_derive_seed_derives(base, ids):
+    _assert_derivations(base, ids)
 
 
 def _streams(rng: np.random.Generator) -> list:

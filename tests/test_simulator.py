@@ -227,7 +227,8 @@ def test_trajectory_matches_exact_distribution():
     _, exact = simulate(bell_circuit())
     hist = run_trajectory(bell_circuit(), shots, seed=23)
     kl = 0.0
-    for key, freq in hist.as_probabilities().items():
+    for key, count in hist.counts.items():
+        freq = count / hist.shots
         kl += freq * math.log(freq / exact.probabilities[key])
     assert kl < 0.01
 

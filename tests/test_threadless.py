@@ -1,5 +1,6 @@
 """Threadless runtime driver: devices with no worker thread, whose queued tasks
-run one at a time, in an order drawn from a seed, through ``Runtime._execute_on``.
+run one at a time, in an order drawn from a seed, through ``Runtime._execute_on``
+(each queue holds ``(graph, task)`` pairs).
 
 Which device finishes next is the only freedom a threaded run has, so drawing
 it from a seed makes every interleaving reproducible and lets a test inspect
@@ -7,6 +8,7 @@ the runtime between any two task ends.
 """
 
 import collections
+import gc
 import hashlib
 import os
 import random
@@ -76,7 +78,7 @@ def _step(runtime, rng) -> bool:
     if not busy:
         return False
     device = rng.choice(busy)
-    runtime._execute_on(device, device._queue.popleft())
+    runtime._execute_on(device, *device._queue.popleft())
     return True
 
 
@@ -128,7 +130,7 @@ def _outcome(graphs):
 
 
 def _no_task_waits_beside_an_idle_device(runtime, graphs):
-    queued = {id(t) for d in runtime.devices for t in d._queue}
+    queued = {id(t) for d in runtime.devices for _, t in d._queue}
     idle = {d.device_class for d in runtime.devices if d.pending == 0}
     for graph in graphs:
         for task in graph.tasks.values():
@@ -244,10 +246,10 @@ def test_default_task_waits_while_its_device_is_busy():
     )
     runtime.submit(graph)
     (device,) = runtime.devices
-    assert list(device._queue) == [first]
+    assert list(device._queue) == [(graph, first)]
     assert second.state is TaskState.READY
-    runtime._execute_on(device, device._queue.popleft())
-    assert list(device._queue) == [second]
+    runtime._execute_on(device, *device._queue.popleft())
+    assert list(device._queue) == [(graph, second)]
 
 
 def test_default_tasks_take_the_lowest_id_idle_devices():
@@ -258,7 +260,7 @@ def test_default_tasks_take_the_lowest_id_idle_devices():
     graph = runtime.create_graph()
     tasks = [graph.tasks[graph.create_task(f"t{i}", _kernel("sampled", ()))] for i in range(2)]
     runtime.submit(graph)
-    queued = {t.name: d.id for d in runtime.devices for t in d._queue if t.graph is graph}
+    queued = {t.name: d.id for d in runtime.devices for g, t in d._queue if g is graph}
     assert queued == {"t0": 1, "t1": 2}
     assert all(t.state is TaskState.READY for t in tasks)
 
@@ -290,3 +292,35 @@ def test_dispatch_cost_does_not_grow_with_graphs_in_flight(monkeypatch):
     assert all(t.state is TaskState.COMPLETED for g in graphs for t in g.tasks.values())
     # devices are looked up only when a submit plans its graph: one key each
     assert len(calls) <= 100
+
+
+def _refers_to(task, graph) -> bool:
+    refs = gc.get_referents(task)
+    # where a task's attributes live in a __dict__, that dict is the referent
+    refs += [v for r in refs if isinstance(r, dict) for v in r.values()]
+    return any(r is graph for r in refs)
+
+
+def test_a_task_holds_no_reference_to_its_graph():
+    # the graph travels beside its tasks, through the ready heap, the device
+    # queues and _execute_on, so no task refers back to it at any point
+    runtime = _runtime(qpu=0, host=1)
+    graph = runtime.create_graph()
+    running = []  # whether each task, while it runs, refers to its graph
+
+    def look(params, deps):
+        running.append(_refers_to(graph.tasks[params[0]], graph))
+
+    runtime.register_host_kernel("look", look)
+    tasks = [graph.tasks[graph.create_task(f"t{i}", HostKernel("look", (i,)))] for i in range(2)]
+    assert not any(_refers_to(t, graph) for t in tasks)  # created
+    runtime.submit(graph)
+    (device,) = runtime.devices
+    assert list(device._queue) == [(graph, tasks[0])]
+    assert tasks[1].state is TaskState.READY  # waits in the ready heap
+    assert not any(_refers_to(t, graph) for t in tasks)  # queued and waiting
+    while _step(runtime, random.Random(0)):
+        pass
+    assert running == [False, False]
+    assert graph.done() and all(t.state is TaskState.COMPLETED for t in tasks)
+    assert not any(_refers_to(t, graph) for t in tasks)  # ended
