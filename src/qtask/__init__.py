@@ -30,6 +30,7 @@ from .qir import (
     lower_to_circuit,
     parse_qir,
 )
+from .cli import GraphSpecError, parse_graph_spec
 from .qpd import (
     InstanceResult,
     QpdEstimate,
@@ -55,7 +56,6 @@ from .runtime import (
     CircuitKernel,
     CycleError,
     DeviceBackend,
-    GraphSpecError,
     HostDevice,
     HostKernel,
     MemObject,
@@ -67,7 +67,6 @@ from .runtime import (
     TaskResult,
     TaskState,
     make_runtime,
-    parse_graph_spec,
 )
 from .seeding import derive_seed
 from .simulator import (

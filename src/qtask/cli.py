@@ -19,11 +19,12 @@ import graphlib
 import json
 import sys
 
+from .circuit import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .qir import QirLoweringError, QirParseError
 from .qpd import validate_run, write_validation_csv
-from .runtime import MAX_DEVICES, POLICIES, GraphSpecError, InputFileError
-from .runtime import QirKernel, TaskState, lower_qir, make_runtime, parse_graph_spec, read_input
-from .runtime import TaskSpecEntry, run_qir
+from .runtime import ANY, HOST, MAX_DEVICES, POLICIES, QPU, CircuitKernel, HostKernel
+from .runtime import InputFileError, KernelSpec, QirKernel, TaskState, lower_qir, make_runtime
+from .runtime import read_input, run_qir
 from .simulator import MAX_SHOTS, NonTerminalMeasurementError, ProbDist, ShotHistogram
 from .simulator import TooManyQubitsError, format_histogram, format_probabilities
 
@@ -109,12 +110,132 @@ def _summarize(payload) -> str | None:
     return text if len(text) <= 72 else text[:69] + "..."
 
 
+# --------------------------------------------------------------------------
+# Graph JSON: parsed and ordered before any runtime exists
+
+
+class GraphSpecError(ValueError):
+    pass
+
+
+@dataclasses.dataclass
+class TaskSpecEntry:
+    name: str
+    kernel: KernelSpec
+    depends: tuple[str, ...]
+    device: str | int
+
+
+@dataclasses.dataclass
+class GraphSpec:
+    seed: int
+    policy: str
+    qpu: int
+    host: int
+    tasks: list[TaskSpecEntry]  # in file order
+    order: list[str]  # task names in creation order: each after its dependencies
+
+
+_TOP_FIELDS = {"seed", "policy", "devices", "tasks"}
+_DEVICE_FIELDS = {"qpu", "host"}
+_TASK_FIELDS = {"name", "kernel", "shots", "depends", "device"}
+_KERNEL_FIELDS = {
+    "qir": {"type", "file", "source"},
+    "host": {"type", "name", "params"},
+    "circuit": {"type", "qubits", "gates", "mode"},
+}
+
+# gate name -> (constructor, argument count, whether the last argument is an
+# angle): the qubits, then an angle or a result slot
+_JSON_GATES = {
+    kind.value: (
+        getattr(Gate, kind.value),
+        (2 if kind in TWO_QUBIT_KINDS else 1) + (kind in ROTATION_KINDS or kind is GateKind.MZ),
+        kind in ROTATION_KINDS,
+    )
+    for kind in GateKind
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_unknown(obj: dict, allowed: set[str], where: str):
+    if not obj.keys() <= allowed:
+        key = next(key for key in obj if key not in allowed)
+        raise GraphSpecError(f"unknown field {key!r} in {where}")
+
+
+def _json_circuit(spec: dict, where: str) -> Circuit:
+    qubits = spec.get("qubits")
+    if not _is_int(qubits) or qubits < 1:
+        raise GraphSpecError(f"circuit kernel in {where} needs a positive 'qubits'")
+    gates = spec.get("gates", [])
+    if not isinstance(gates, list):
+        raise GraphSpecError(f"'gates' of the circuit kernel in {where} must be a list")
+    circuit = Circuit(qubits)
+    for entry in gates:
+        if not (isinstance(entry, list) and entry and isinstance(entry[0], str)
+                and entry[0] in _JSON_GATES):
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}")
+        ctor, arity, angle = _JSON_GATES[entry[0]]
+        args = entry[1:]
+        if len(args) != arity:
+            raise GraphSpecError(
+                f"gate {entry[0]!r} in {where} expects {arity} argument(s), got {len(args)}"
+            )
+        if any(isinstance(a, bool) for a in args):
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}: boolean operand")
+        ints = args[:-1] if angle else args
+        if not all(map(_is_int, ints)) or angle and not isinstance(args[-1], (int, float)):
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}: qubits and result "
+                                 "slots must be integers, an angle a number")
+        try:
+            circuit.append(ctor(*args))
+        except (TypeError, ValueError) as exc:
+            raise GraphSpecError(f"bad gate entry {entry!r} in {where}: {exc}") from exc
+    return circuit
+
+
+def _json_kernel(spec, shots: int, where: str) -> KernelSpec:
+    if not isinstance(spec, dict):
+        raise GraphSpecError(f"kernel in {where} must be an object")
+    ktype = spec.get("type")
+    if ktype not in _KERNEL_FIELDS:
+        raise GraphSpecError(
+            f"kernel in {where} has unknown type {ktype!r}; expected qir, host, or circuit"
+        )
+    _reject_unknown(spec, _KERNEL_FIELDS[ktype], f"{where} kernel")
+    if ktype == "qir":
+        file, source = spec.get("file"), spec.get("source")
+        if (file is None) == (source is None):
+            raise GraphSpecError(f"qir kernel in {where} needs exactly one of file or source")
+        field = "source" if file is None else "file"
+        if not isinstance(spec[field], str):  # a spec is hashed, so no list or object
+            raise GraphSpecError(f"qir kernel {field!r} in {where} must be a string")
+        return QirKernel(source=source, path=file, shots=shots)
+    if ktype == "host":
+        name = spec.get("name")
+        if not isinstance(name, str):
+            raise GraphSpecError(f"host kernel in {where} needs a string 'name'")
+        params = spec.get("params", [])
+        if not isinstance(params, list):
+            raise GraphSpecError(f"host kernel params in {where} must be a list")
+        return HostKernel(name, tuple(params))
+    mode = spec.get("mode", "sampled")
+    if mode not in ("exact", "sampled"):
+        raise GraphSpecError(f"circuit kernel mode in {where} must be exact or sampled")
+    return CircuitKernel(_json_circuit(spec, where), shots=shots, mode=mode)
+
+
 def _creation_order(tasks: list[TaskSpecEntry]) -> list[str]:
     """Task names in dependency order, as ``graphlib``'s ``static_order`` gives
     them for a file whose tasks list their dependencies first, in one linear
     pass: ready names come in batches, each in the order its names became
     ready, the first in file order. ``depends`` are read in list order, each
-    name once, so the order does not depend on string hashing."""
+    name once, so the order does not depend on string hashing. A dependency
+    that names no task raises GraphSpecError, a cycle graphlib.CycleError."""
     waiting: dict[str, int] = {}  # name -> dependencies not yet in the order
     dependents: dict[str, list[str]] = {}
     for t in tasks:
@@ -123,6 +244,10 @@ def _creation_order(tasks: list[TaskSpecEntry]) -> list[str]:
         for d in depends:
             waiting.setdefault(d, 0)
             dependents.setdefault(d, []).append(t.name)
+    if len(waiting) > len(tasks):  # names are unique, so a dependency names no task
+        names = {t.name for t in tasks}
+        dep = next(name for name in waiting if name not in names)  # the first one read
+        raise GraphSpecError(f"task {dependents[dep][0]!r} depends on unknown task {dep!r}")
     order = [name for name, n in waiting.items() if n == 0]
     for name in order:  # grows while it is read: each batch follows the last
         for dependent in dependents.get(name, ()):
@@ -134,13 +259,68 @@ def _creation_order(tasks: list[TaskSpecEntry]) -> list[str]:
     return order
 
 
+def parse_graph_spec(text: str) -> GraphSpec:
+    """Validate and load the graph JSON format, with its tasks in creation order.
+    Unknown fields, unknown dependencies and cycles are rejected."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise GraphSpecError("graph spec must be a JSON object")
+    _reject_unknown(obj, _TOP_FIELDS, "graph spec")
+
+    seed = obj.get("seed", 0)
+    if not _is_int(seed):
+        raise GraphSpecError("'seed' must be an integer")
+    policy = obj.get("policy", "default")
+    if policy not in POLICIES:
+        raise GraphSpecError(f"'policy' must be default or roundrobin, got {policy!r}")
+
+    devices = obj.get("devices")
+    if not isinstance(devices, dict):
+        raise GraphSpecError("missing or invalid 'devices' object")
+    _reject_unknown(devices, _DEVICE_FIELDS, "devices")
+    qpu = devices.get("qpu", 0)
+    host = devices.get("host", 0)
+    for key, count in (("qpu", qpu), ("host", host)):
+        if not _is_int(count) or not 0 <= count <= MAX_DEVICES:
+            raise GraphSpecError(f"device count {key!r} must be an integer in 0..{MAX_DEVICES}")
+
+    raw_tasks = obj.get("tasks")
+    if not isinstance(raw_tasks, list):
+        raise GraphSpecError("missing or invalid 'tasks' list")
+
+    names: set[str] = set()
+    entries: list[TaskSpecEntry] = []
+    for i, raw in enumerate(raw_tasks):
+        where = f"task #{i}"
+        if not isinstance(raw, dict):
+            raise GraphSpecError(f"{where} must be an object")
+        _reject_unknown(raw, _TASK_FIELDS, where)
+        name = raw.get("name")
+        if not isinstance(name, str) or not name:
+            raise GraphSpecError(f"{where} needs a non-empty string 'name'")
+        if name in names:
+            raise GraphSpecError(f"duplicate task name {name!r}")
+        names.add(name)
+        where = f"task {name!r}"
+        shots = raw.get("shots", 1024)
+        if not _is_int(shots) or not 0 <= shots <= MAX_SHOTS:
+            raise GraphSpecError(f"'shots' in {where} must be an integer in 0..{MAX_SHOTS}")
+        depends = raw.get("depends", [])
+        if not isinstance(depends, list) or not all(isinstance(d, str) for d in depends):
+            raise GraphSpecError(f"'depends' in {where} must be a list of task names")
+        device = raw.get("device", ANY)
+        if not (device in (ANY, HOST, QPU) or _is_int(device)):
+            raise GraphSpecError(f"'device' in {where} must be any, qpu, host, or an id")
+        kernel = _json_kernel(raw.get("kernel"), shots, where)
+        entries.append(TaskSpecEntry(name, kernel, tuple(depends), device))
+
+    return GraphSpec(seed, policy, qpu, host, entries, _creation_order(entries))
+
+
 def cmd_graph(args) -> int:
     spec = parse_graph_spec(read_input(args.file))
     policy = args.policy if args.policy is not None else spec.policy
     seed = args.seed if args.seed is not None else spec.seed
-
-    # creation must follow dependencies; printing keeps the file's order
-    order = _creation_order(spec.tasks)
     by_name = {t.name: t for t in spec.tasks}
 
     runtime = make_runtime(qpu=spec.qpu, host=spec.host)
@@ -148,7 +328,7 @@ def cmd_graph(args) -> int:
 
     try:
         graph = runtime.create_graph(seed=seed)
-        for name in order:
+        for name in spec.order:
             entry = by_name[name]
             deps = [graph.task_id_by_name(d) for d in entry.depends]
             try:

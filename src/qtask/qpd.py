@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Pauli, PrepLabel, basis_change, prep_circuit
 from .seeding import derive_seed
-from .simulator import ProbDist, ShotHistogram, _sampling_table
+from .simulator import ProbDist, ShotHistogram
 from . import runtime as rt
 
 REDUCE_TASK = "qpd_reduce"
@@ -454,18 +454,15 @@ def importance_sampled_estimate(
     gamma = decomp.gamma
     weights = np.array([abs(t.coefficient) for t in terms]) / gamma
 
-    fragment = functools.cache(_entangler_fragment)
+    @functools.cache  # one kernel per (prep, observable)
+    def kernel(prep: PrepLabel | None, obs: Pauli | None) -> rt.CircuitKernel:
+        return rt.CircuitKernel(_entangler_fragment(prep, obs), shots=shots)
+
     rng = np.random.default_rng(seed)
-
-    def draw(prep: PrepLabel | None, obs: Pauli | None) -> dict[str, float]:
-        keys, p = _sampling_table(rt._EXACT.get(fragment(prep, obs), None))
-        counts = rng.multinomial(shots, p)
-        return {k: c / shots for k, c in zip(keys, counts) if c}
-
     total = 0.0
     for _ in range(n_samples):
         drawn = [terms[rng.choice(len(terms), p=weights)] for _ in range(2)]
-        observed = [draw(prep, obs) for prep, obs in _chain(drawn)]
+        observed = [rt.run_qir(kernel(prep, obs), seed, rng=rng) for prep, obs in _chain(drawn)]
         total += _instance_value([gamma * t.sign for t in drawn], drawn, observed)
     return QpdEstimate(
         value=total / n_samples, mode="importance", shots=shots, seed=seed

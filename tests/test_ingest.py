@@ -4,6 +4,7 @@ proof at submit, and one lowering and check per QIR spec per graph."""
 import graphlib
 import json
 import random
+import threading
 
 import pytest
 
@@ -11,7 +12,8 @@ import qtask.runtime
 from qtask import cli
 from qtask.circuit import Circuit, Gate
 from qtask.qir import emit_qir
-from qtask.runtime import HostKernel, QirKernel, TaskSpecEntry, TaskState, make_runtime
+from qtask.cli import TaskSpecEntry
+from qtask.runtime import HostKernel, QirKernel, TaskState, make_runtime
 from qtask.simulator import MAX_QUBITS, TooManyQubitsError
 
 
@@ -58,6 +60,45 @@ def test_creation_order_rejects_a_cycle_with_duplicate_depends():
     spec = [("a", ["c"]), ("b", ["a", "a"]), ("c", ["b"]), ("d", [])]
     with pytest.raises(graphlib.CycleError):
         cli._creation_order(_entries(spec))
+
+
+def _graph_file(*tasks):
+    noop = {"type": "host", "name": "noop"}
+    return json.dumps(
+        {"devices": {"host": 1}, "tasks": [
+            {"name": name, "kernel": noop, "depends": deps} for name, deps in tasks
+        ]}
+    )
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (_graph_file(("a", ["b"]), ("b", ["a"])), graphlib.CycleError, "cycle"),
+        (_graph_file(("a", []), ("b", ["a", "zz"]), ("c", ["yy"]), ("d", ["zz"])),
+         cli.GraphSpecError, "^task 'b' depends on unknown task 'zz'$"),
+        (_graph_file(("a", ["b", "yy"]), ("b", ["zz"]), ("c", ["a"]), ("d", [])),
+         cli.GraphSpecError, "^task 'a' depends on unknown task 'yy'$"),
+    ],
+    ids=["cycle", "unknown", "unknown-after-a-forward-name"],
+)
+def test_parse_graph_spec_rejects_cycles_and_unknown_dependencies_before_any_thread(
+    text, error, message
+):
+    # the file's tasks are ordered as they are parsed, so these input errors
+    # come before any runtime, and so any device thread, exists; an unknown
+    # dependency is named as the first one read, tasks in file order
+    threads = threading.active_count()
+    with pytest.raises(error, match=message):
+        cli.parse_graph_spec(text)
+    assert threading.active_count() == threads
+
+
+def test_parse_graph_spec_gives_the_creation_order():
+    text = _graph_file(("c", ["b"]), ("a", []), ("b", ["a"]))
+    spec = cli.parse_graph_spec(text)
+    assert [t.name for t in spec.tasks] == ["c", "a", "b"]
+    assert spec.order == ["a", "b", "c"]
 
 
 class _CountingSorter(graphlib.TopologicalSorter):

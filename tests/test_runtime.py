@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import qtask.runtime
 from qtask.circuit import Circuit, Gate
+from qtask.cli import GraphSpecError, parse_graph_spec
 from qtask.qir import QirParseError, find_kernel_file
 from qtask.runtime import (
     ANY,
@@ -20,7 +21,6 @@ from qtask.runtime import (
     TERMINAL_STATES,
     CircuitKernel,
     CycleError,
-    GraphSpecError,
     HostDevice,
     HostKernel,
     QirKernel,
@@ -28,7 +28,6 @@ from qtask.runtime import (
     Runtime,
     TaskState,
     make_runtime,
-    parse_graph_spec,
 )
 
 BELL_TEXT = find_kernel_file("bell.ll").read_text()
@@ -187,6 +186,44 @@ def test_wait_timeout_returns_partial_snapshot():
         release.set()
         full = runtime.wait(handle)
         assert full[tid].status is TaskState.COMPLETED
+
+
+def test_wait_rejects_a_graph_of_another_runtime_or_one_not_submitted():
+    # no worker of `a` ends either graph, so a wait on it would never wake; each
+    # call runs on a thread, so a regression fails here instead of hanging
+    def wait_on_a_thread(runtime, graph):
+        outcome = []
+
+        def call():
+            try:
+                outcome.append(runtime.wait(graph))
+            except ValueError as exc:
+                outcome.append(str(exc))
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    release = threading.Event()
+    with make_runtime(qpu=0, host=1) as a, make_runtime(qpu=0, host=1) as b:
+        a.register_host_kernel("nop", lambda p, d: None)
+        b.register_host_kernel("hold", lambda p, d: release.wait(5))
+        foreign = b.create_graph()
+        foreign.create_task("t", HostKernel("hold"))
+        b.submit(foreign)
+        thread, outcome = wait_on_a_thread(a, foreign)
+        release.set()
+        b.wait(foreign)
+        thread.join(2)
+        assert not thread.is_alive(), "wait() blocked after the graph ended"
+        assert outcome == ["graph belongs to a different runtime"]
+
+        unsubmitted = a.create_graph()
+        unsubmitted.create_task("t", HostKernel("nop"))
+        thread, outcome = wait_on_a_thread(a, unsubmitted)
+        thread.join(2)
+        assert not thread.is_alive(), "wait() blocked"
+        assert outcome == ["graph not submitted"]
 
 
 # -- scheduling ---------------------------------------------------------------
