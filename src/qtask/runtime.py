@@ -3,9 +3,10 @@
 Tasks carry kernels (host callbacks, QIR programs, or circuit payloads) and
 are scheduled onto registered device backends by a configurable policy.
 Submission and waiting may happen from any thread; state transitions are
-serialized through one runtime lock, each device drains its queue on its own
-worker thread, and the worker that ends a task promotes its dependents and
-dispatches waiting tasks under that lock.
+serialized through one runtime lock, and each device drains its queue on its
+own worker thread, started when the device is first given a task. A task runs
+as ``_begin``, its kernel, then ``_end``, which promotes or fails its
+dependents; the worker then dispatches waiting tasks under that lock.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
 per location: a task reading an object on a device triggers a transfer only
@@ -52,7 +53,7 @@ HOST = "host"
 QPU = "qpu"
 
 POLICIES = ("default", "roundrobin")
-MAX_DEVICES = 256  # per class, from graph JSON or the CLI: each device is an OS thread
+MAX_DEVICES = 256  # per class, from graph JSON or the CLI: a device given work is an OS thread
 
 CycleError = graphlib.CycleError
 
@@ -508,7 +509,6 @@ class Runtime:
                 raise ValueError(f"duplicate device id {backend.id}")
             self._devices[backend.id] = backend
             insort(self._by_class.setdefault(backend.device_class, []), backend, key=lambda d: d.id)
-        backend._start(self)
         return backend.id
 
     @property
@@ -625,7 +625,9 @@ class Runtime:
             for graph in list(self._active.values()):
                 for task in graph.tasks.values():
                     if task.state in (TaskState.SUBMITTED, TaskState.READY):
-                        self._mark_failed(graph, task, "runtime-shutdown")
+                        # _finish, not _end: each reads runtime-shutdown, never dependency-failed
+                        result = TaskResult(TaskState.FAILED, None, "runtime-shutdown")
+                        self._finish(graph, task, result)
             self._cond.notify_all()
             devices = list(self._devices.values())
         for d in devices:
@@ -664,8 +666,10 @@ class Runtime:
 
     def _place(self, graph: TaskGraph, task: Task, device: DeviceBackend | None):
         if device is None:
-            self._fail_task(graph, task, None, "no-capable-device", 0)
+            self._end(graph, task, TaskResult(TaskState.FAILED, None, "no-capable-device"))
             return
+        if device._thread is None:  # a device becomes a thread once it is given work
+            device._start(self)
         device.pending += 1
         device._queue.put((graph, task))
 
@@ -683,21 +687,30 @@ class Runtime:
         task.result = result
         graph._record(result.status.value, task, result.device_id)
 
-    def _complete_task(self, graph: TaskGraph, task: Task, device, payload, transfers):
-        result = TaskResult(TaskState.COMPLETED, payload, device_id=device.id, transfer_count=transfers)
+    def _begin(self, device: DeviceBackend, graph: TaskGraph, task: Task) -> bool:
+        """The one start of a task; False for one that shutdown() failed while queued."""
+        if task.state in TERMINAL_STATES:
+            device.pending -= 1
+            return False
+        self._set_state(graph, task, TaskState.RUNNING)
+        device.running += 1
+        if device.running != 1:
+            raise AssertionError(f"device {device.id} double occupancy")
+        graph._record("running", task, device.id)
+        return True
+
+    def _end(self, graph: TaskGraph, task: Task, result: TaskResult):
+        """The one end of a run or a placement: record the result, then promote a
+        completed task's dependents or fail a failed task's transitive dependents."""
         self._finish(graph, task, result)
-        # ascending id, so queue and failure order follow task ids
-        for dep_id in graph.dependents[task.id]:
-            dependent = graph.tasks[dep_id]
-            dependent.remaining_deps -= 1
-            if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
-                self._make_ready(graph, dependent)
-
-    def _mark_failed(self, graph: TaskGraph, task: Task, error: str, device_id=None, transfers=0):
-        self._finish(graph, task, TaskResult(TaskState.FAILED, None, error, device_id, transfers))
-
-    def _fail_task(self, graph: TaskGraph, task: Task, device, error: str, transfers: int):
-        self._mark_failed(graph, task, error, None if device is None else device.id, transfers)
+        if result.status is TaskState.COMPLETED:
+            # ascending id, so queue and failure order follow task ids
+            for dep_id in graph.dependents[task.id]:
+                dependent = graph.tasks[dep_id]
+                dependent.remaining_deps -= 1
+                if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
+                    self._make_ready(graph, dependent)
+            return
         # fail-fast: transitive dependents never run
         stack = list(graph.dependents[task.id])
         while stack:
@@ -705,51 +718,35 @@ class Runtime:
             dependent = graph.tasks[dep_id]
             if dependent.state in TERMINAL_STATES:
                 continue
-            self._mark_failed(graph, dependent, "dependency-failed")
+            self._finish(graph, dependent, TaskResult(TaskState.FAILED, None, "dependency-failed"))
             stack.extend(graph.dependents[dep_id])
 
-    def _prepare_reads(self, task: Task, device: DeviceBackend) -> int:
-        if not task.reads:
-            return 0
-        with self._cond:
-            return sum(obj._ensure_clean(device.id) for obj in task.reads)
-
-    def _commit_writes(self, task: Task, device: DeviceBackend, payload):
-        if not task.writes:
-            return
-        if not isinstance(payload, (bytes, bytearray)):
-            raise RuntimeError("tasks declaring writes must return a bytes payload")
-        with self._cond:
-            for obj in task.writes:
-                obj._write(device.id, payload)
-
     def _execute_on(self, device: DeviceBackend, graph: TaskGraph, task: Task):
-        # runs on the device worker thread
+        # one driver step, on the device worker thread: start, run, end
         with self._cond:
-            if task.state in TERMINAL_STATES:  # failed by shutdown() while queued
-                device.pending -= 1
+            if not self._begin(device, graph, task):
                 return
-            self._set_state(graph, task, TaskState.RUNNING)
-            device.running += 1
-            if device.running != 1:
-                raise AssertionError(f"device {device.id} double occupancy")
-            graph._record("running", task, device.id)
         transfers, error = 0, None
         try:
-            transfers = self._prepare_reads(task, device)
+            if task.reads:
+                with self._cond:
+                    transfers = sum(obj._ensure_clean(device.id) for obj in task.reads)
             payload = device.run_kernel(task, graph, self)
-            self._commit_writes(task, device, payload)
+            if task.writes:
+                if not isinstance(payload, (bytes, bytearray)):
+                    raise RuntimeError("tasks declaring writes must return a bytes payload")
+                with self._cond:
+                    for obj in task.writes:
+                        obj._write(device.id, payload)
         # whatever the kernel raised (SystemExit too) fails the task and the worker
         # lives on; signals such as KeyboardInterrupt only reach the main thread
         except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
+            payload, error = None, f"{type(exc).__name__}: {exc}"
         with self._cond:
             device.running -= 1
             device.pending -= 1
-            if error is None:
-                self._complete_task(graph, task, device, payload, transfers)
-            else:
-                self._fail_task(graph, task, device, error, transfers)
+            status = TaskState.COMPLETED if error is None else TaskState.FAILED
+            self._end(graph, task, TaskResult(status, payload, error, device.id, transfers))
             self._dispatch()  # the freed device may take a waiting task of any graph
 
 

@@ -4,8 +4,10 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -434,6 +436,28 @@ def test_graph_qpu_kernel_no_qpu_can_run_is_usage_error(capsys, tmp_path, kernel
     code, out, err = run_cli(capsys, "graph", str(path))
     assert code == 2 and out == ""
     assert "'unrunnable'" in err
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        {"type": "qir", "source": "not qir"},
+        {"type": "qir", "file": "missing.ll"},
+        {"type": "circuit", "qubits": 1, "gates": [["mz", 0, 0], ["h", 0]]},
+    ],
+    ids=["qir-does-not-parse", "qir-file-missing", "circuit-measure-then-use"],
+)
+def test_graph_kernel_input_error_starts_no_thread(capsys, tmp_path, kernel):
+    # a device becomes a thread only once it is given a task, so a kernel that
+    # create_task rejects ends the command before any of the 6 devices starts
+    spec = {"devices": {"qpu": 4, "host": 2}, "tasks": [{"name": "bad", "kernel": kernel}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    real_start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=real_start) as start:
+        code, out, err = run_cli(capsys, "graph", str(path))
+    assert code == 2 and out == "" and "'bad'" in err
+    assert start.call_count == 0
 
 
 @pytest.mark.parametrize(

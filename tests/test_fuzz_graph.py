@@ -7,12 +7,14 @@ type or not: booleans, NaN, huge integers, nesting, non-string QIR `file`,
 token-level mutations. The contract checked on every input:
 
 - no exception escapes ``main``;
-- exit 2 prints nothing to stdout and one ``error:`` line to stderr;
+- exit 2 prints nothing to stdout and one ``error:`` line to stderr, and
+  starts no thread (``threading.Thread.start`` is counted around ``main``);
 - exit 0 or 1 prints one status line per task, in file order, and nothing
   to stderr; exit 1 exactly when a task failed at run time.
 
-Device counts stay at most 4. A count out of range is only ever one that
-``parse_graph_spec`` rejects before any runtime, and so any thread, exists.
+A device count is 0-4 or exactly ``MAX_DEVICES``: a device starts its
+thread only once it is given a task, so unused devices cost no thread. A
+count out of range is only ever one that ``parse_graph_spec`` rejects.
 """
 
 import contextlib
@@ -21,6 +23,8 @@ import json
 import math
 import os
 import re
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -189,9 +193,10 @@ def _tasks(draw, n: int):
     return tasks
 
 
-# a count above 4 is only ever one that parse_graph_spec rejects
+# a count above 4 is MAX_DEVICES, or one that parse_graph_spec rejects
 device_counts = mostly(
-    st.integers(0, 4), st.one_of(st.sampled_from([-1, MAX_DEVICES + 1, 10**30]), JUNK)
+    st.one_of(st.integers(0, 4), st.just(MAX_DEVICES)),
+    st.one_of(st.sampled_from([-1, MAX_DEVICES + 1, 10**30]), JUNK),
 )
 
 graphs = mostly(
@@ -222,13 +227,17 @@ def _render(graph, cut: int) -> str:
 def _check_contract(path, text: str):
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    real_start = threading.Thread.start
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
+        threading.Thread, "start", autospec=True, side_effect=real_start
+    ) as start:
         code = main(["graph", str(path)])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (code, text)
     if code == 2:
         assert out == "", text
         assert err.startswith("error: ") and err.count("\n") == 1, (err, text)
+        assert start.call_count == 0, (start.call_count, text)
         return
     assert err == "", (err, text)
     statuses = [line.split() for line in out.splitlines() if not line.startswith(" ")]

@@ -26,6 +26,7 @@ from qtask.runtime import (
     QirKernel,
     QpuDevice,
     Runtime,
+    TaskResult,
     TaskState,
     make_runtime,
 )
@@ -437,6 +438,24 @@ def test_dmem_size_mismatch_and_use_after_free():
         runtime.dmem_free(obj)
         with pytest.raises(ValueError, match="after free"):
             runtime.dmem_read_host(obj)
+
+
+def test_dmem_failures_in_a_task_fail_it_and_its_dependents():
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: None)
+        runtime.register_host_kernel("text", lambda p, d: "not bytes")
+        obj, freed = runtime.dmem_create(4), runtime.dmem_create(4)
+        runtime.dmem_free(freed)
+        graph = runtime.create_graph()
+        bad = graph.create_task("bad", HostKernel("text"), reads=[obj], writes=[obj])
+        after = graph.create_task("after", HostKernel("nop"), deps=[bad])
+        stale = graph.create_task("stale", HostKernel("nop"), reads=[freed])
+        results = runtime.wait(runtime.submit(graph))
+    error = "RuntimeError: tasks declaring writes must return a bytes payload"
+    assert results[bad] == TaskResult(TaskState.FAILED, None, error, 0, 1)
+    assert results[after] == TaskResult(TaskState.FAILED, None, "dependency-failed", None, 0)
+    error = f"ValueError: mem object {freed.id} used after free"
+    assert results[stale] == TaskResult(TaskState.FAILED, None, error, 0, 0)
 
 
 # -- random DAG properties (small sanity; the acceptance suite scales this up)

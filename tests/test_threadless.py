@@ -324,3 +324,22 @@ def test_a_task_holds_no_reference_to_its_graph():
     assert running == [False, False]
     assert graph.done() and all(t.state is TaskState.COMPLETED for t in tasks)
     assert not any(_refers_to(t, graph) for t in tasks)  # ended
+
+
+def test_shutdown_fails_each_task_not_started_itself():
+    # shutdown() records each unstarted task's end without the cascade of a
+    # failed run, so none reads dependency-failed, whatever its place in a chain
+    runtime = _runtime(qpu=0, host=1)
+    graph = runtime.create_graph()
+    prev = []
+    for i in range(3):
+        prev = [graph.create_task(f"t{i}", HostKernel("nop", (i,)), deps=prev)]
+    runtime.submit(graph)
+    runtime.shutdown()
+    assert [(t.state, t.result.error) for t in graph.tasks.values()] == [
+        (TaskState.FAILED, "runtime-shutdown")
+    ] * 3
+    assert graph.trace == [(i, "failed", i, None) for i in range(3)]
+    (device,) = runtime.devices
+    runtime._execute_on(device, *device._queue.popleft())  # the queued t0 does not start
+    assert device.pending == 0 and len(graph.trace) == 3
