@@ -337,7 +337,7 @@ def cmd_graph(args) -> int:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
             except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
                 raise GraphSpecError(f"no qpu can run the kernel in task {name!r}: {exc}") from exc
-        results = runtime.wait(runtime.submit(graph, policy=policy))
+        results = runtime.wait(runtime.submit(graph, policy=policy, sync=True))
     finally:
         runtime.shutdown()
 

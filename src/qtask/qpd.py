@@ -501,7 +501,7 @@ def validate_run(
                 seed=derive_seed(seed, "rep", rep),
                 dedup=dedup,
             )
-            results = runtime.wait(runtime.submit(graph, policy="roundrobin"))
+            results = runtime.wait(runtime.submit(graph, policy="roundrobin", sync=True))
             reduce_res = results[graph.task_id_by_name(REDUCE_TASK)]
             if reduce_res.status is not rt.TaskState.COMPLETED:
                 raise RuntimeError(f"reduction failed: {reduce_res.error}")

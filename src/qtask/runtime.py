@@ -3,10 +3,12 @@
 Tasks carry kernels (host callbacks, QIR programs, or circuit payloads) and
 are scheduled onto registered device backends by a configurable policy.
 Submission and waiting may happen from any thread; state transitions are
-serialized through one runtime lock, and each device drains its queue on its
-own worker thread, started when the device is first given a task. A task runs
-as ``_begin``, its kernel, then ``_end``, which promotes or fails its
-dependents; the worker then dispatches waiting tasks under that lock.
+serialized through one runtime lock. ``submit(sync=True)`` runs its graph on
+the calling thread, with every task held for it on a device that has no worker
+thread; any other task runs on its device's own worker thread, started when the
+device is first given one. A task runs as ``_begin``, its kernel, then ``_end``,
+which promotes or fails its dependents; the thread that ran it then dispatches
+waiting tasks under that lock.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
 per location: a task reading an object on a device triggers a transfer only
@@ -27,7 +29,7 @@ import queue
 import threading
 import time
 from bisect import insort
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -53,7 +55,7 @@ HOST = "host"
 QPU = "qpu"
 
 POLICIES = ("default", "roundrobin")
-MAX_DEVICES = 256  # per class, from graph JSON or the CLI: a device given work is an OS thread
+MAX_DEVICES = 256  # per class, from graph JSON or the CLI; an async submit makes each a thread
 
 CycleError = graphlib.CycleError
 
@@ -497,6 +499,10 @@ class Runtime:
         # unplanned ready tasks of all graphs, one heap per device class of
         # (graph._order, id, graph, task): (order, id) is unique, so graphs are never compared
         self._ready: dict[str, list[tuple[int, int, TaskGraph, Task]]] = {}
+        # callers in submit(sync=True), those of them waiting, and the (device, graph,
+        # task) that _place holds for them, in placement order
+        self._drivers = self._idle = 0
+        self._held: deque[tuple[DeviceBackend, TaskGraph, Task]] = deque()
         self._closed = False
 
     # -- registries
@@ -534,7 +540,7 @@ class Runtime:
         return the graph, which ``wait`` and ``TaskGraph.done`` take.
 
         A cycle is rejected before any task changes state. With sync=True the
-        call blocks until the graph is terminal.
+        call blocks until the graph is terminal, running tasks meanwhile (``_drive``).
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -564,12 +570,13 @@ class Runtime:
                     graph.dependents[d].append(task.id)
             if graph.tasks:
                 self._active[graph._order] = graph
+            self._drivers += sync  # before placing, so this graph's tasks are held too
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
             self._dispatch()
         if sync:
-            self.wait(graph)
+            self._drive(graph)
         return graph
 
     def wait(self, graph: TaskGraph, timeout: float | None = None) -> dict[int, TaskResult]:
@@ -622,6 +629,9 @@ class Runtime:
                 return
             self._closed = True
             self._ready.clear()
+            for device, _, _ in self._held:  # each held task fails below, unstarted
+                device.pending -= 1
+            self._held.clear()
             for graph in list(self._active.values()):
                 for task in graph.tasks.values():
                     if task.state in (TaskState.SUBMITTED, TaskState.READY):
@@ -668,9 +678,17 @@ class Runtime:
         if device is None:
             self._end(graph, task, TaskResult(TaskState.FAILED, None, "no-capable-device"))
             return
-        if device._thread is None:  # a device becomes a thread once it is given work
-            device._start(self)
         device.pending += 1
+        if self._drivers and device._thread is None:  # a waiting caller runs it
+            self._held.append((device, graph, task))
+            if self._idle:
+                self._cond.notify_all()
+        else:
+            self._to_worker(device, graph, task)
+
+    def _to_worker(self, device: DeviceBackend, graph: TaskGraph, task: Task):
+        if device._thread is None:  # a device becomes a thread once a worker gets its work
+            device._start(self)
         device._queue.put((graph, task))
 
     def _dispatch(self):
@@ -726,11 +744,49 @@ class Runtime:
         with self._cond:
             if not self._begin(device, graph, task):
                 return
-        transfers, error = 0, None
+        self._run(device, graph, task)
+
+    def _drive(self, graph: TaskGraph):
+        """Run held tasks here until ``graph`` ends, each the first whose device is free,
+        begun in the lock hold that picks it: no two callers ever share a device."""
+        step = None
+        try:
+            while True:
+                with self._cond:
+                    while graph._unfinished:
+                        step = next((s for s in self._held if not s[0].running), None)
+                        if step:
+                            break
+                        self._idle += 1
+                        self._cond.wait()
+                        self._idle -= 1
+                    else:
+                        return
+                    self._held.remove(step)
+                    self._begin(*step)  # never false: shutdown() drops every held task
+                if isinstance(raised := self._run(*step), KeyboardInterrupt):
+                    raise raised  # once the task it landed in has failed
+        except BaseException as exc:  # an interrupt outside the kernel: end the task it began
+            with self._cond:
+                if step and step[2].state is TaskState.RUNNING:
+                    error = f"{type(exc).__name__}: {exc}"
+                    self._end_run(*step, TaskResult(TaskState.FAILED, None, error, step[0].id))
+            raise
+        finally:
+            with self._cond:
+                self._drivers -= 1
+                while not self._drivers and self._held:
+                    self._to_worker(*self._held.popleft())
+
+    def _run(self, device: DeviceBackend, graph: TaskGraph, task: Task) -> BaseException | None:
+        # a begun task's reads, kernel and writes, then its end; what they raise
+        # (SystemExit too) fails the task and is returned
+        transfers, error, raised = 0, None, None
         try:
             if task.reads:
                 with self._cond:
-                    transfers = sum(obj._ensure_clean(device.id) for obj in task.reads)
+                    for obj in task.reads:  # counted as made: a failing read keeps the others
+                        transfers += obj._ensure_clean(device.id)
             payload = device.run_kernel(task, graph, self)
             if task.writes:
                 if not isinstance(payload, (bytes, bytearray)):
@@ -738,16 +794,19 @@ class Runtime:
                 with self._cond:
                     for obj in task.writes:
                         obj._write(device.id, payload)
-        # whatever the kernel raised (SystemExit too) fails the task and the worker
-        # lives on; signals such as KeyboardInterrupt only reach the main thread
         except BaseException as exc:
-            payload, error = None, f"{type(exc).__name__}: {exc}"
+            payload, error, raised = None, f"{type(exc).__name__}: {exc}", exc
         with self._cond:
-            device.running -= 1
-            device.pending -= 1
             status = TaskState.COMPLETED if error is None else TaskState.FAILED
-            self._end(graph, task, TaskResult(status, payload, error, device.id, transfers))
-            self._dispatch()  # the freed device may take a waiting task of any graph
+            result = TaskResult(status, payload, error, device.id, transfers)
+            self._end_run(device, graph, task, result)
+        return raised
+
+    def _end_run(self, device: DeviceBackend, graph: TaskGraph, task: Task, result: TaskResult):
+        self._end(graph, task, result)  # first: until it ends, a task keeps its device's counts
+        device.running -= 1
+        device.pending -= 1
+        self._dispatch()  # the freed device may take a waiting task of any graph
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:

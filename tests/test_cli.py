@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from test_runtime import _on_a_thread
 
 import qtask
 from qtask import cli
@@ -301,6 +302,44 @@ def test_graph_roundrobin_stdout_repeats_whatever_finishes_first(capsys, tmp_pat
         assert code == 0
         hashes.add(hashlib.sha256(out.encode()).hexdigest())
     assert len(hashes) == 1
+
+
+def test_graph_default_stdout_repeats_whatever_finishes_first(capsys, tmp_path, monkeypatch):
+    # the calling thread runs the tasks in placement order, so which device is
+    # the lowest-id idle one does not depend on which kernel returns first
+    rng = random.Random(3)
+    for cls in (QpuDevice, HostDevice):
+        run_kernel = cls.run_kernel
+
+        def delayed(self, task, graph, runtime, run_kernel=run_kernel):
+            time.sleep(rng.uniform(0, 0.003))
+            return run_kernel(self, task, graph, runtime)
+
+        monkeypatch.setattr(cls, "run_kernel", delayed)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_GRAPH))
+    outs = set()
+    for _ in range(40):
+        code, out, _ = run_cli(capsys, "graph", str(path), "--policy", "default")
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_ghz_qpd_and_graph_start_no_thread(capsys, tmp_path):
+    # both run their graphs with submit(sync=True), on the calling thread
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_GRAPH))
+    real_start = threading.Thread.start
+
+    def run(argv):
+        with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=real_start) as start:
+            code = main(argv)
+        return code, start.call_count
+
+    assert _on_a_thread(run, ["ghz-qpd", "--reps", "2", "--devices", "4"]) == (0, 0)
+    assert _on_a_thread(run, ["graph", str(path)]) == (0, 0)
+    assert capsys.readouterr().out.count("completed") == 8
 
 
 # -- ghz-qpd ------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import _thread
 import gc
 import json
+import sys
 import threading
 import time
 import weakref
@@ -458,6 +460,21 @@ def test_dmem_failures_in_a_task_fail_it_and_its_dependents():
     assert results[stale] == TaskResult(TaskState.FAILED, None, error, 0, 0)
 
 
+def test_a_failing_read_keeps_the_transfers_made_before_it():
+    # the first read copies the object to device 0; the second raises, and the
+    # task's figure still counts the copy that its objects counted
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: None)
+        obj, freed = runtime.dmem_create(4), runtime.dmem_create(4)
+        runtime.dmem_free(freed)
+        graph = runtime.create_graph()
+        tid = graph.create_task("t", HostKernel("nop"), reads=[obj, freed])
+        result = runtime.wait(runtime.submit(graph))[tid]
+    assert result.error == f"ValueError: mem object {freed.id} used after free"
+    assert result.transfer_count == obj.transfer_count == 1
+    assert 0 in obj._copies
+
+
 # -- random DAG properties (small sanity; the acceptance suite scales this up)
 
 
@@ -799,6 +816,158 @@ def test_shutdown_after_some_tasks_end_ends_the_graph(data):
     assert len(box["results"]) == n_tasks
     assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
     _check_trace(graph)
+
+
+# -- submit(sync=True) runs its graph on the calling thread --------------------
+
+
+def _on_a_thread(fn, *args):
+    """fn(*args) on a thread joined within 10 s, so a driver that hangs fails the test."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)), daemon=True)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive(), f"{fn.__name__} did not return within 10 s"
+    assert out, f"{fn.__name__} raised"
+    return out[0]
+
+
+def test_ctrl_c_interrupts_a_sync_submit():
+    # the kernel runs on the main thread, which the interrupt reaches; submit
+    # raises it, and no task is left running
+    runtime = make_runtime(qpu=0, host=1)
+    runtime.register_host_kernel("ctrl_c", lambda p, d: _thread.interrupt_main())
+    runtime.register_host_kernel("nop", lambda p, d: None)
+    graph = runtime.create_graph()
+    first = graph.create_task("ctrl_c", HostKernel("ctrl_c"))
+    graph.create_task("after", HostKernel("nop"), deps=[first])
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            runtime.submit(graph, sync=True)
+    finally:
+        runtime.shutdown()
+    assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
+    assert sorted(runtime.wait(graph)) == [0, 1]
+
+
+def test_an_interrupt_outside_the_kernel_leaves_no_task_running(monkeypatch):
+    # as if Ctrl-C landed after _begin, before the kernel: the driver ends the
+    # task it began, and the runtime runs on
+    def interrupted(self, device, graph, task):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Runtime, "_run", interrupted)
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("nop", lambda p, d: p)
+        graph = runtime.create_graph()
+        first = graph.create_task("t0", HostKernel("nop"))
+        graph.create_task("t1", HostKernel("nop"), deps=[first])
+        with pytest.raises(KeyboardInterrupt):
+            runtime.submit(graph, sync=True)
+        assert [(t.state, t.result.error) for t in graph.tasks.values()] == [
+            (TaskState.FAILED, "KeyboardInterrupt: "),
+            (TaskState.FAILED, "dependency-failed"),
+        ]
+        (device,) = runtime.devices
+        assert (device.running, device.pending) == (0, 0)
+        monkeypatch.undo()
+        later = runtime.create_graph()
+        later.create_task("t", HostKernel("nop", (1,)))
+        assert runtime.wait(runtime.submit(later), timeout=10)[0].payload == (1,)
+
+
+def test_a_kernel_may_run_a_graph_of_its_own_with_a_sync_submit():
+    def nested():
+        with make_runtime(qpu=1, host=1) as runtime:
+
+            def inner(params, deps):
+                graph = runtime.create_graph(seed=1)
+                graph.create_task("q", bell_kernel())
+                return runtime.submit(graph, sync=True).tasks[0].result
+
+            runtime.register_host_kernel("inner", inner)
+            graph = runtime.create_graph()
+            graph.create_task("outer", HostKernel("inner"))
+            runtime.submit(graph, sync=True)
+            return graph.tasks[0].result, [d._thread for d in runtime.devices]
+
+    outer, threads = _on_a_thread(nested)
+    assert (outer.status, outer.device_id) == (TaskState.COMPLETED, 1)
+    assert (outer.payload.status, outer.payload.device_id) == (TaskState.COMPLETED, 0)
+    assert threads == [None, None]
+
+
+def _shared_device_graphs(runtime, n):
+    # graphs whose sleeping host tasks take turns on the one host device
+    runtime.register_host_kernel("sleep", _sleep_ms)
+    graphs = []
+    for g in range(n):
+        graph = runtime.create_graph(seed=g)
+        prev = [graph.create_task(f"q{i}", bell_kernel()) for i in range(3)]
+        for i in range(3):
+            prev = [graph.create_task(f"h{i}", HostKernel("sleep", (1,)), deps=prev)]
+        graphs.append(graph)
+    return graphs
+
+
+def _payloads(graph):
+    return {t.name: (t.state, t.result.payload) for t in graph.tasks.values()}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_threads_each_run_a_sync_submit_on_one_runtime(n):
+    # n callers drive one runtime at once, more of them than cores, switching
+    # threads often: each device runs one task at a time, and every graph ends
+    # with the payloads of a sequential run
+    def together():
+        with make_runtime(qpu=2, host=1) as runtime:
+            graphs = _shared_device_graphs(runtime, n)
+            start = threading.Barrier(n)
+
+            def run(graph):
+                start.wait(10)
+                runtime.submit(graph, sync=True)
+
+            threads = [threading.Thread(target=run, args=(g,), daemon=True) for g in graphs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert [(d.running, d.pending, d._thread) for d in runtime.devices] == [(0, 0, None)] * 3
+        return graphs
+
+    with make_runtime(qpu=2, host=1) as runtime:
+        sequential = _shared_device_graphs(runtime, n)
+        for graph in sequential:
+            runtime.submit(graph, sync=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = _on_a_thread(together)
+    finally:
+        sys.setswitchinterval(interval)
+    for graph, alone in zip(concurrent, sequential):
+        assert all(t.state is TaskState.COMPLETED for t in graph.tasks.values())
+        _check_trace(graph)
+        assert _payloads(graph) == _payloads(alone)
+
+
+def test_a_graph_submitted_async_by_a_sync_run_goes_to_a_worker():
+    # the held task of the second graph outlives the sync run that held it
+    def spawn():
+        with make_runtime(qpu=1, host=1) as runtime:
+            second = runtime.create_graph(seed=2)
+            second.create_task("q", bell_kernel())
+            runtime.register_host_kernel("spawn", lambda p, d: runtime.submit(second) and None)
+            first = runtime.create_graph()
+            first.create_task("spawn", HostKernel("spawn"))
+            runtime.submit(first, sync=True)
+            return runtime.wait(second, timeout=10), [d._thread is None for d in runtime.devices]
+
+    results, threadless = _on_a_thread(spawn)
+    assert results[0].status is TaskState.COMPLETED and results[0].device_id == 0
+    assert threadless == [False, True]
 
 
 # -- graph JSON ---------------------------------------------------------------
