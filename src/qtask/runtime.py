@@ -4,11 +4,12 @@ Tasks carry kernels (host callbacks, QIR programs, or circuit payloads) and
 are scheduled onto registered device backends by a configurable policy.
 Submission and waiting may happen from any thread; state transitions are
 serialized through one runtime lock. ``submit(sync=True)`` runs its graph on
-the calling thread, with every task held for it on a device that has no worker
-thread; any other task runs on its device's own worker thread, started when the
-device is first given one. A task runs as ``_begin``, its kernel, then ``_end``,
-which promotes or fails its dependents; the thread that ran it then dispatches
-waiting tasks under that lock.
+the calling thread: each of its tasks placed on a device that has no worker
+thread is held for that caller. Every other task, an async submit's among them,
+runs on its device's own worker thread, started when the device is first given
+one. A task runs as ``_begin``, its kernel, then ``_end``, which promotes or
+fails its dependents; the thread that ran it then dispatches waiting tasks
+under that lock.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
 per location: a task reading an object on a device triggers a transfer only
@@ -183,6 +184,7 @@ class TaskGraph:
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
         self._order: int | None = None  # submit rank among the runtime's graphs, set by submit
+        self._sync = False  # while its submit(sync=True) caller runs it (Runtime._drive)
         # the one record of run order: (seq, event, task id, device id), seq being the
         # entry's index; a task has a "running" entry if it ran, then a terminal one
         self.trace: list[tuple[int, str, int, int | None]] = []
@@ -499,9 +501,8 @@ class Runtime:
         # unplanned ready tasks of all graphs, one heap per device class of
         # (graph._order, id, graph, task): (order, id) is unique, so graphs are never compared
         self._ready: dict[str, list[tuple[int, int, TaskGraph, Task]]] = {}
-        # callers in submit(sync=True), those of them waiting, and the (device, graph,
-        # task) that _place holds for them, in placement order
-        self._drivers = self._idle = 0
+        # the (device, graph, task) that _place holds for callers of submit(sync=True),
+        # in placement order: only on a device with no worker thread
         self._held: deque[tuple[DeviceBackend, TaskGraph, Task]] = deque()
         self._closed = False
 
@@ -570,7 +571,7 @@ class Runtime:
                     graph.dependents[d].append(task.id)
             if graph.tasks:
                 self._active[graph._order] = graph
-            self._drivers += sync  # before placing, so this graph's tasks are held too
+            graph._sync = sync  # before placing, so this graph's tasks are held
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
@@ -679,17 +680,21 @@ class Runtime:
             self._end(graph, task, TaskResult(TaskState.FAILED, None, "no-capable-device"))
             return
         device.pending += 1
-        if self._drivers and device._thread is None:  # a waiting caller runs it
-            self._held.append((device, graph, task))
-            if self._idle:
-                self._cond.notify_all()
+        if graph._sync and device._thread is None:
+            self._held.append((device, graph, task))  # a caller in _drive runs it
+            self._cond.notify_all()
         else:
-            self._to_worker(device, graph, task)
+            self._to_worker(device, (graph, task))
 
-    def _to_worker(self, device: DeviceBackend, graph: TaskGraph, task: Task):
-        if device._thread is None:  # a device becomes a thread once a worker gets its work
+    def _to_worker(self, device: DeviceBackend, item: tuple[TaskGraph, Task] | None = None):
+        # a device given to a worker stays with it, its held tasks first, in placement order
+        if device._thread is None:
+            for step in [s for s in self._held if s[0] is device]:
+                self._held.remove(step)
+                device._queue.put(step[1:])
             device._start(self)
-        device._queue.put((graph, task))
+        if item:
+            device._queue.put(item)
 
     def _dispatch(self):
         # each idle device, lowest id first, takes the head of its class's heap;
@@ -742,6 +747,8 @@ class Runtime:
     def _execute_on(self, device: DeviceBackend, graph: TaskGraph, task: Task):
         # one driver step, on the device worker thread: start, run, end
         with self._cond:
+            while device.running:  # a caller in _drive runs a task it took here before
+                self._cond.wait()
             if not self._begin(device, graph, task):
                 return
         self._run(device, graph, task)
@@ -757,26 +764,30 @@ class Runtime:
                         step = next((s for s in self._held if not s[0].running), None)
                         if step:
                             break
-                        self._idle += 1
                         self._cond.wait()
-                        self._idle -= 1
                     else:
                         return
                     self._held.remove(step)
                     self._begin(*step)  # never false: shutdown() drops every held task
                 if isinstance(raised := self._run(*step), KeyboardInterrupt):
                     raise raised  # once the task it landed in has failed
-        except BaseException as exc:  # an interrupt outside the kernel: end the task it began
+                if step[0]._thread is not None:
+                    with self._cond:
+                        self._cond.notify_all()  # its worker waits for the device (_execute_on)
+        except BaseException as exc:  # an interrupt outside the kernel leaves no task stuck
             with self._cond:
-                if step and step[2].state is TaskState.RUNNING:
+                if step and step[2].state is TaskState.READY and step not in self._held:
+                    self._held.appendleft(step)  # taken, not yet begun
+                elif step and step[2].state is TaskState.RUNNING:
                     error = f"{type(exc).__name__}: {exc}"
                     self._end_run(*step, TaskResult(TaskState.FAILED, None, error, step[0].id))
+                self._cond.notify_all()
             raise
         finally:
-            with self._cond:
-                self._drivers -= 1
-                while not self._drivers and self._held:
-                    self._to_worker(*self._held.popleft())
+            with self._cond:  # a caller gone early leaves its graph to the workers
+                graph._sync = False
+                for device in dict.fromkeys(s[0] for s in self._held if s[1] is graph):
+                    self._to_worker(device)
 
     def _run(self, device: DeviceBackend, graph: TaskGraph, task: Task) -> BaseException | None:
         # a begun task's reads, kernel and writes, then its end; what they raise
@@ -803,10 +814,14 @@ class Runtime:
         return raised
 
     def _end_run(self, device: DeviceBackend, graph: TaskGraph, task: Task, result: TaskResult):
-        self._end(graph, task, result)  # first: until it ends, a task keeps its device's counts
-        device.running -= 1
-        device.pending -= 1
-        self._dispatch()  # the freed device may take a waiting task of any graph
+        try:
+            self._end(graph, task, result)  # first: until it ends, a task keeps its device's counts
+        finally:  # even when Ctrl-C lands in _end, the device is freed
+            device.running -= 1
+            device.pending -= 1
+            if self._held:
+                self._cond.notify_all()  # a waiting caller may take a held task of this device
+            self._dispatch()  # the freed device may take a waiting task of any graph
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:

@@ -914,27 +914,35 @@ def _payloads(graph):
     return {t.name: (t.state, t.result.payload) for t in graph.tasks.values()}
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["sync", "mixed"])
 @pytest.mark.parametrize("n", [2, 4])
-def test_threads_each_run_a_sync_submit_on_one_runtime(n):
+def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
     # n callers drive one runtime at once, more of them than cores, switching
-    # threads often: each device runs one task at a time, and every graph ends
-    # with the payloads of a sequential run
+    # threads often; when mixed, every other caller submits async and waits on
+    # the workers instead: each device runs one task at a time, and every graph
+    # ends with the payloads of a sequential run
     def together():
         with make_runtime(qpu=2, host=1) as runtime:
             graphs = _shared_device_graphs(runtime, n)
             start = threading.Barrier(n)
 
-            def run(graph):
+            def run(i, graph):
                 start.wait(10)
-                runtime.submit(graph, sync=True)
+                if mixed and i % 2:
+                    runtime.wait(runtime.submit(graph), timeout=10)
+                else:
+                    runtime.submit(graph, sync=True)
 
-            threads = [threading.Thread(target=run, args=(g,), daemon=True) for g in graphs]
+            threads = [
+                threading.Thread(target=run, args=(i, g), daemon=True) for i, g in enumerate(graphs)
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(10)
             assert not any(t.is_alive() for t in threads)
-            assert [(d.running, d.pending, d._thread) for d in runtime.devices] == [(0, 0, None)] * 3
+            assert [(d.running, d.pending) for d in runtime.devices] == [(0, 0)] * 3
+            assert mixed or all(d._thread is None for d in runtime.devices)
         return graphs
 
     with make_runtime(qpu=2, host=1) as runtime:
@@ -954,7 +962,8 @@ def test_threads_each_run_a_sync_submit_on_one_runtime(n):
 
 
 def test_a_graph_submitted_async_by_a_sync_run_goes_to_a_worker():
-    # the held task of the second graph outlives the sync run that held it
+    # only a sync submit's tasks are held for its caller: the second graph's
+    # task goes to the qpu's worker, and outlives the sync run
     def spawn():
         with make_runtime(qpu=1, host=1) as runtime:
             second = runtime.create_graph(seed=2)
@@ -968,6 +977,120 @@ def test_a_graph_submitted_async_by_a_sync_run_goes_to_a_worker():
     results, threadless = _on_a_thread(spawn)
     assert results[0].status is TaskState.COMPLETED and results[0].device_id == 0
     assert threadless == [False, True]
+
+
+def test_a_kernel_of_a_sync_run_may_wait_for_an_async_submit():
+    # the caller blocked in the kernel is not the one that must run the graph it waits for
+    def run():
+        with make_runtime(qpu=1, host=1) as runtime:
+
+            def spawn(params, deps):
+                second = runtime.create_graph(seed=2)
+                second.create_task("q", bell_kernel())
+                return runtime.wait(runtime.submit(second))[0]
+
+            runtime.register_host_kernel("spawn", spawn)
+            first = runtime.create_graph()
+            first.create_task("spawn", HostKernel("spawn"))
+            return runtime.submit(first, sync=True).tasks[0].result
+
+    outer = _on_a_thread(run)
+    assert outer.status is TaskState.COMPLETED
+    assert (outer.payload.status, outer.payload.device_id) == (TaskState.COMPLETED, 0)
+
+
+def test_an_async_submit_runs_while_a_sync_caller_is_busy():
+    # another thread's async graph does not wait for a caller blocked in a kernel
+    def run():
+        started, release = threading.Event(), threading.Event()
+        with make_runtime(qpu=1, host=1) as runtime:
+            runtime.register_host_kernel("block", lambda p, d: started.set() or release.wait(10))
+            first = runtime.create_graph()
+            first.create_task("block", HostKernel("block"))
+            caller = threading.Thread(
+                target=runtime.submit, args=(first, "default", True), daemon=True
+            )
+            caller.start()
+            started.wait(10)
+            second = runtime.create_graph(seed=2)
+            second.create_task("q", bell_kernel())
+            results = runtime.wait(runtime.submit(second), timeout=5)
+            release.set()
+            caller.join(10)
+            return results, first.tasks[0].result
+
+    results, blocked = _on_a_thread(run)
+    assert results[0].status is TaskState.COMPLETED
+    assert blocked.status is TaskState.COMPLETED
+
+
+def test_a_worker_waits_while_a_sync_caller_runs_a_task_on_its_device():
+    # a kernel of a sync run gives both devices async work: the qpu's held task
+    # goes to the new worker ahead of it, and the host's worker begins only once
+    # the caller has freed the host device, so no device runs two tasks at once
+    def run():
+        with make_runtime(qpu=1, host=1) as runtime:
+            second = runtime.create_graph(seed=2)
+            second.create_task("q", bell_kernel(), device_req=0)  # pinned: placed at once
+            second.create_task("h", HostKernel("nop"), device_req=1)
+
+            def spawn(params, deps):
+                runtime.submit(second)
+                time.sleep(0.05)  # the host's new worker tries its task meanwhile
+
+            runtime.register_host_kernel("spawn", spawn)
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            first = runtime.create_graph()
+            head = first.create_task("spawn", HostKernel("spawn"))
+            first.create_task("q", bell_kernel())
+            first.create_task("h", HostKernel("nop", (1,)), deps=[head])
+            runtime.submit(first, sync=True)
+            runtime.wait(second, timeout=10)
+            return first, second, [d._thread is not None for d in runtime.devices]
+
+    first, second, threaded = _on_a_thread(run)
+    for graph in (first, second):
+        assert all(t.state is TaskState.COMPLETED for t in graph.tasks.values())
+        _check_trace(graph)
+    assert threaded == [True, True]
+
+
+@pytest.mark.parametrize("where", ["_begin", "_end"])
+def test_an_interrupt_in_the_driver_leaves_no_task_stuck(monkeypatch, where):
+    # as if Ctrl-C landed after the driver took a task but before it began it
+    # (_begin), or after the task ended but before its device was freed (_end):
+    # submit raises, and the rest of the graph runs on the device's worker
+    real = getattr(Runtime, where)
+    fired = []
+
+    def interrupted(self, *args):
+        if fired:
+            return real(self, *args)
+        fired.append(where)
+        if where == "_end":
+            real(self, *args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Runtime, where, interrupted)
+
+    def run():
+        with make_runtime(qpu=0, host=1) as runtime:
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            first = graph.create_task("t0", HostKernel("nop", (0,)))
+            graph.create_task("t1", HostKernel("nop", (1,)), deps=[first])
+            with pytest.raises(KeyboardInterrupt):
+                runtime.submit(graph, sync=True)
+            results = runtime.wait(graph, timeout=10)
+            (device,) = runtime.devices
+            return results, (device.running, device.pending)
+
+    results, counts = _on_a_thread(run)
+    assert [(r.status, r.payload) for r in results.values()] == [
+        (TaskState.COMPLETED, (0,)),
+        (TaskState.COMPLETED, (1,)),
+    ]
+    assert counts == (0, 0)
 
 
 # -- graph JSON ---------------------------------------------------------------
@@ -1140,6 +1263,26 @@ def test_an_idle_worker_holds_no_ended_graph():
             graph.create_task("t", HostKernel("nop"))
             ref = weakref.ref(runtime.submit(graph, sync=True))
             del graph
+            deadline = time.monotonic() + 10
+            while ref() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_idle_worker_thread_holds_no_ended_graph():
+    # as above, through an async submit, which the device's worker thread runs
+    gc.disable()
+    try:
+        with make_runtime(qpu=0, host=1) as runtime:
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            graph.create_task("t", HostKernel("nop"))
+            runtime.wait(runtime.submit(graph))
+            ref = weakref.ref(graph)
+            del graph
+            assert runtime.devices[0]._thread is not None
             deadline = time.monotonic() + 10
             while ref() is not None and time.monotonic() < deadline:
                 time.sleep(0.001)
