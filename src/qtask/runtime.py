@@ -3,13 +3,13 @@
 Tasks carry kernels (host callbacks, QIR programs, or circuit payloads) and
 are scheduled onto registered device backends by a configurable policy.
 Submission and waiting may happen from any thread; state transitions are
-serialized through one runtime lock. ``submit(sync=True)`` runs its graph on
-the calling thread: each of its tasks placed on a device that has no worker
-thread is held for that caller. Every other task, an async submit's among them,
-runs on its device's own worker thread, started when the device is first given
-one. A task runs as ``_begin``, its kernel, then ``_end``, which promotes or
-fails its dependents; the thread that ran it then dispatches waiting tasks
-under that lock.
+serialized through one runtime lock. Every placed task joins one run queue,
+and ``Runtime._step``, the only way a task runs, begins the first queued task
+whose device is free in the lock hold that takes it, runs its kernel, then
+ends it (``_end`` promotes or fails its dependents). ``submit(sync=True)`` and
+``wait()`` without a timeout run steps of their graph on the calling thread;
+helper threads run the other graphs' steps until ``shutdown()``, one starting
+only when such a task is runnable on a free device and no helper is idle.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
 per location: a task reading an object on a device triggers a transfer only
@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import graphlib
 import itertools
-import queue
 import threading
 import time
 from bisect import insort
@@ -56,11 +55,11 @@ HOST = "host"
 QPU = "qpu"
 
 POLICIES = ("default", "roundrobin")
-MAX_DEVICES = 256  # per class, from graph JSON or the CLI; an async submit makes each a thread
+# per class, from graph JSON or the CLI: _dispatch scans a class's devices after each
+# task ends, and up to one helper thread may start per busy device
+MAX_DEVICES = 256
 
 CycleError = graphlib.CycleError
-
-_SHUTDOWN = object()
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +183,7 @@ class TaskGraph:
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
         self._order: int | None = None  # submit rank among the runtime's graphs, set by submit
-        self._sync = False  # while its submit(sync=True) caller runs it (Runtime._drive)
+        self._sync = False  # a caller runs it (submit(sync=True), wait()); helpers leave it
         # the one record of run order: (seq, event, task id, device id), seq being the
         # entry's index; a task has a "running" entry if it ran, then a terminal one
         self.trace: list[tuple[int, str, int, int | None]] = []
@@ -288,7 +287,7 @@ class MemObject:
 
 
 class DeviceBackend:
-    """In-process device worker: single queue, one task at a time."""
+    """Simulated device: runs one task at a time, on whichever thread takes its step."""
 
     device_class = ""
 
@@ -296,30 +295,6 @@ class DeviceBackend:
         self.id = device_id
         self.pending = 0  # assigned (queued or running), guarded by runtime lock
         self.running = 0
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def _start(self, runtime: "Runtime"):
-        self._thread = threading.Thread(
-            target=self._loop,
-            args=(runtime,),
-            daemon=True,
-            name=f"{self.device_class}-device-{self.id}",
-        )
-        self._thread.start()
-
-    def _loop(self, runtime: "Runtime"):
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            runtime._execute_on(self, *item)
-            del item  # an idle worker holds no graph, so an ended one is freed at once
-
-    def _stop(self):
-        self._queue.put(_SHUTDOWN)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
 
     def run_kernel(self, task: Task, graph: TaskGraph, runtime: "Runtime"):
         raise NotImplementedError
@@ -359,7 +334,7 @@ class _ExactCache:
     """Exact distributions by circuit content key and output positions, holding at most
     ``limit`` outcomes over all entries: the least recently used go first, and a
     wider distribution is never kept. Held distributions are read-only, so their
-    sampling tables are kept too. Safe to use from several qpu worker threads."""
+    sampling tables are kept too. Safe to use from several threads."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -492,6 +467,7 @@ class Runtime:
     def __init__(self):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
+        self._work = threading.Condition(self._lock)  # where idle helpers wait
         self._devices: dict[int, DeviceBackend] = {}
         self._by_class: dict[str, list[DeviceBackend]] = {}  # each class's devices by id
         self._host_kernels: dict[str, Callable] = {}
@@ -501,9 +477,10 @@ class Runtime:
         # unplanned ready tasks of all graphs, one heap per device class of
         # (graph._order, id, graph, task): (order, id) is unique, so graphs are never compared
         self._ready: dict[str, list[tuple[int, int, TaskGraph, Task]]] = {}
-        # the (device, graph, task) that _place holds for callers of submit(sync=True),
-        # in placement order: only on a device with no worker thread
-        self._held: deque[tuple[DeviceBackend, TaskGraph, Task]] = deque()
+        # the run queue: each placed (device, graph, task) not yet begun, in placement order
+        self._queued: deque[tuple[DeviceBackend, TaskGraph, Task]] = deque()
+        self._helpers: list[threading.Thread] = []
+        self._idle = 0  # helpers not running a step
         self._closed = False
 
     # -- registries
@@ -541,7 +518,7 @@ class Runtime:
         return the graph, which ``wait`` and ``TaskGraph.done`` take.
 
         A cycle is rejected before any task changes state. With sync=True the
-        call blocks until the graph is terminal, running tasks meanwhile (``_drive``).
+        call runs the graph's tasks on the calling thread until it is terminal.
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -571,11 +548,13 @@ class Runtime:
                     graph.dependents[d].append(task.id)
             if graph.tasks:
                 self._active[graph._order] = graph
-            graph._sync = sync  # before placing, so this graph's tasks are held
+            graph._sync = sync  # before placing, so no helper takes this graph's tasks
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
             self._dispatch()
+            if not sync:
+                self._help()
         if sync:
             self._drive(graph)
         return graph
@@ -583,18 +562,21 @@ class Runtime:
     def wait(self, graph: TaskGraph, timeout: float | None = None) -> dict[int, TaskResult]:
         """Block until the graph, submitted to this runtime, is terminal; idempotent.
 
-        With a timeout, returns a snapshot of the results produced so far.
+        Without a timeout the caller runs the graph's tasks meanwhile, as
+        ``submit(sync=True)`` does. With one it only waits, as a kernel cannot be
+        stopped at the deadline, and returns a snapshot of the results so far.
         """
         if graph._runtime is not self:  # its end would never wake this runtime's waiters
             raise ValueError("graph belongs to a different runtime")
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             if graph._order is None:
                 raise ValueError("graph not submitted")
-            while graph._unfinished:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    break
+            graph._sync |= timeout is None
+        if timeout is None:
+            self._drive(graph)
+        deadline = time.monotonic() + (timeout or 0)
+        with self._cond:
+            while graph._unfinished and (remaining := deadline - time.monotonic()) > 0:
                 self._cond.wait(remaining)
             return {tid: t.result for tid, t in graph.tasks.items() if t.result is not None}
 
@@ -622,7 +604,7 @@ class Runtime:
     # -- lifecycle
 
     def shutdown(self):
-        """Stop the device workers. Tasks of submitted graphs that have not
+        """Stop the helper threads. Tasks of submitted graphs that have not
         started running fail with ``runtime-shutdown``, so every graph ends and
         every ``wait()`` returns; a task already running finishes normally."""
         with self._cond:
@@ -630,9 +612,9 @@ class Runtime:
                 return
             self._closed = True
             self._ready.clear()
-            for device, _, _ in self._held:  # each held task fails below, unstarted
+            for device, _, _ in self._queued:  # each queued task fails below, unstarted
                 device.pending -= 1
-            self._held.clear()
+            self._queued.clear()
             for graph in list(self._active.values()):
                 for task in graph.tasks.values():
                     if task.state in (TaskState.SUBMITTED, TaskState.READY):
@@ -640,9 +622,9 @@ class Runtime:
                         result = TaskResult(TaskState.FAILED, None, "runtime-shutdown")
                         self._finish(graph, task, result)
             self._cond.notify_all()
-            devices = list(self._devices.values())
-        for d in devices:
-            d._stop()
+            self._work.notify_all()
+        for helper in self._helpers:  # each returns from _step once its task, if any, ends
+            helper.join(timeout=10)
 
     def __enter__(self):
         return self
@@ -680,21 +662,28 @@ class Runtime:
             self._end(graph, task, TaskResult(TaskState.FAILED, None, "no-capable-device"))
             return
         device.pending += 1
-        if graph._sync and device._thread is None:
-            self._held.append((device, graph, task))  # a caller in _drive runs it
-            self._cond.notify_all()
-        else:
-            self._to_worker(device, (graph, task))
+        self._queued.append((device, graph, task))  # _end_run wakes the callers waiting for it
 
-    def _to_worker(self, device: DeviceBackend, item: tuple[TaskGraph, Task] | None = None):
-        # a device given to a worker stays with it, its held tasks first, in placement order
-        if device._thread is None:
-            for step in [s for s in self._held if s[0] is device]:
-                self._held.remove(step)
-                device._queue.put(step[1:])
-            device._start(self)
-        if item:
-            device._queue.put(item)
+    def _help(self):
+        # a helper for a task that no caller runs and whose device is free, if any
+        if any(not d.running and not g._sync for d, g, _ in self._queued):
+            self._start_helper()
+
+    def _start_helper(self):
+        # wake an idle helper, or start one only when none is idle: so helpers
+        # never outnumber busy devices
+        if self._idle:
+            self._work.notify()
+        elif not self._closed:
+            self._idle += 1
+            helper = threading.Thread(target=self._drive, daemon=True, name="qtask-helper")
+            self._helpers.append(helper)
+            helper.start()
+
+    def _drive(self, graph: TaskGraph | None = None):
+        # the one loop: a caller's until its graph ends, a helper's until shutdown()
+        while self._step(graph):
+            pass
 
     def _dispatch(self):
         # each idle device, lowest id first, takes the head of its class's heap;
@@ -710,27 +699,30 @@ class Runtime:
         task.result = result
         graph._record(result.status.value, task, result.device_id)
 
-    def _begin(self, device: DeviceBackend, graph: TaskGraph, task: Task) -> bool:
-        """The one start of a task; False for one that shutdown() failed while queued."""
-        if task.state in TERMINAL_STATES:
-            device.pending -= 1
-            return False
+    def _begin(self, device: DeviceBackend, graph: TaskGraph, task: Task):
+        # the one start of a task
         self._set_state(graph, task, TaskState.RUNNING)
         device.running += 1
         if device.running != 1:
             raise AssertionError(f"device {device.id} double occupancy")
         graph._record("running", task, device.id)
-        return True
 
-    def _end(self, graph: TaskGraph, task: Task, result: TaskResult):
+    def _end(self, graph: TaskGraph, task: Task, result: TaskResult | None):
         """The one end of a run or a placement: record the result, then promote a
-        completed task's dependents or fail a failed task's transitive dependents."""
-        self._finish(graph, task, result)
-        if result.status is TaskState.COMPLETED:
+        completed task's dependents or fail a failed task's transitive dependents.
+        With no result it mends an end that an interrupt cut short, and can be
+        repeated: each Submitted dependent then counts its unfinished deps afresh."""
+        if result is not None:
+            self._finish(graph, task, result)
+        if task.state is TaskState.COMPLETED:
             # ascending id, so queue and failure order follow task ids
             for dep_id in graph.dependents[task.id]:
                 dependent = graph.tasks[dep_id]
-                dependent.remaining_deps -= 1
+                if result is not None:
+                    dependent.remaining_deps -= 1
+                elif dependent.state is TaskState.SUBMITTED:
+                    deps = (graph.tasks[d] for d in dependent.deps)
+                    dependent.remaining_deps = sum(d.state is not TaskState.COMPLETED for d in deps)
                 if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
                     self._make_ready(graph, dependent)
             return
@@ -744,54 +736,56 @@ class Runtime:
             self._finish(graph, dependent, TaskResult(TaskState.FAILED, None, "dependency-failed"))
             stack.extend(graph.dependents[dep_id])
 
-    def _execute_on(self, device: DeviceBackend, graph: TaskGraph, task: Task):
-        # one driver step, on the device worker thread: start, run, end
-        with self._cond:
-            while device.running:  # a caller in _drive runs a task it took here before
-                self._cond.wait()
-            if not self._begin(device, graph, task):
-                return
-        self._run(device, graph, task)
-
-    def _drive(self, graph: TaskGraph):
-        """Run held tasks here until ``graph`` ends, each the first whose device is free,
-        begun in the lock hold that picks it: no two callers ever share a device."""
+    def _step(self, graph: TaskGraph | None = None) -> bool:
+        """Run one queued task: the first whose device is free, of ``graph`` for its
+        caller (``submit(sync=True)``, ``wait``), else, for a helper, of a graph that
+        no caller runs. It begins in the lock hold that takes it, so no two threads
+        share a device. Blocks until there is one; False once ``graph`` has ended
+        or, for a helper, the runtime is shut down."""
         step = None
         try:
-            while True:
-                with self._cond:
-                    while graph._unfinished:
-                        step = next((s for s in self._held if not s[0].running), None)
-                        if step:
-                            break
-                        self._cond.wait()
-                    else:
-                        return
-                    self._held.remove(step)
-                    self._begin(*step)  # never false: shutdown() drops every held task
-                if isinstance(raised := self._run(*step), KeyboardInterrupt):
-                    raise raised  # once the task it landed in has failed
-                if step[0]._thread is not None:
-                    with self._cond:
-                        self._cond.notify_all()  # its worker waits for the device (_execute_on)
+            with self._cond:
+                while True:
+                    step = next((s for s in self._queued if not s[0].running and (
+                        s[1] is graph if graph else not s[1]._sync)), None)
+                    if step:
+                        break
+                    if graph._unfinished == 0 if graph else self._closed:
+                        return False
+                    (self._cond if graph else self._work).wait()
+                self._queued.remove(step)
+                self._begin(*step)
+                if not graph:
+                    self._idle -= 1
+                    self._help()
+            result, raised = self._run(*step)
+            with self._cond:
+                self._idle += not graph  # before _end places dependents: this helper takes them
+                self._end_run(*step, result)
+                if graph and len(self._active) > (graph._unfinished > 0):  # other graphs active:
+                    self._help()  # a task of one may wait for the device freed here
+            if graph and isinstance(raised, KeyboardInterrupt):
+                raise raised  # once the task it landed in has failed
+            return True
         except BaseException as exc:  # an interrupt outside the kernel leaves no task stuck
             with self._cond:
-                if step and step[2].state is TaskState.READY and step not in self._held:
-                    self._held.appendleft(step)  # taken, not yet begun
+                if step and step[2].state is TaskState.READY and step not in self._queued:
+                    self._queued.appendleft(step)  # taken, not yet begun
                 elif step and step[2].state is TaskState.RUNNING:
                     error = f"{type(exc).__name__}: {exc}"
                     self._end_run(*step, TaskResult(TaskState.FAILED, None, error, step[0].id))
+                elif step:  # ended: the interrupt may have landed in _end's loop
+                    self._end(step[1], step[2], None)
+                    self._dispatch()
+                if graph:  # a caller gone early leaves its graph to helpers
+                    graph._sync = False
+                    self._help()
                 self._cond.notify_all()
             raise
-        finally:
-            with self._cond:  # a caller gone early leaves its graph to the workers
-                graph._sync = False
-                for device in dict.fromkeys(s[0] for s in self._held if s[1] is graph):
-                    self._to_worker(device)
 
-    def _run(self, device: DeviceBackend, graph: TaskGraph, task: Task) -> BaseException | None:
-        # a begun task's reads, kernel and writes, then its end; what they raise
-        # (SystemExit too) fails the task and is returned
+    def _run(self, device: DeviceBackend, graph: TaskGraph, task: Task):
+        # a begun task's reads, kernel and writes: its result, and what they raised
+        # (SystemExit too), which fails the task
         transfers, error, raised = 0, None, None
         try:
             if task.reads:
@@ -807,11 +801,8 @@ class Runtime:
                         obj._write(device.id, payload)
         except BaseException as exc:
             payload, error, raised = None, f"{type(exc).__name__}: {exc}", exc
-        with self._cond:
-            status = TaskState.COMPLETED if error is None else TaskState.FAILED
-            result = TaskResult(status, payload, error, device.id, transfers)
-            self._end_run(device, graph, task, result)
-        return raised
+        status = TaskState.COMPLETED if error is None else TaskState.FAILED
+        return TaskResult(status, payload, error, device.id, transfers), raised
 
     def _end_run(self, device: DeviceBackend, graph: TaskGraph, task: Task, result: TaskResult):
         try:
@@ -819,9 +810,9 @@ class Runtime:
         finally:  # even when Ctrl-C lands in _end, the device is freed
             device.running -= 1
             device.pending -= 1
-            if self._held:
-                self._cond.notify_all()  # a waiting caller may take a held task of this device
             self._dispatch()  # the freed device may take a waiting task of any graph
+            if self._queued:  # a waiting caller may take a task placed here, or one of this device
+                self._cond.notify_all()
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:

@@ -192,7 +192,7 @@ def test_wait_timeout_returns_partial_snapshot():
 
 
 def test_wait_rejects_a_graph_of_another_runtime_or_one_not_submitted():
-    # no worker of `a` ends either graph, so a wait on it would never wake; each
+    # no thread of `a` ends either graph, so a wait on it would never wake; each
     # call runs on a thread, so a regression fails here instead of hanging
     def wait_on_a_thread(runtime, graph):
         outcome = []
@@ -889,12 +889,12 @@ def test_a_kernel_may_run_a_graph_of_its_own_with_a_sync_submit():
             graph = runtime.create_graph()
             graph.create_task("outer", HostKernel("inner"))
             runtime.submit(graph, sync=True)
-            return graph.tasks[0].result, [d._thread for d in runtime.devices]
+            return graph.tasks[0].result, list(runtime._helpers)
 
-    outer, threads = _on_a_thread(nested)
+    outer, helpers = _on_a_thread(nested)
     assert (outer.status, outer.device_id) == (TaskState.COMPLETED, 1)
     assert (outer.payload.status, outer.payload.device_id) == (TaskState.COMPLETED, 0)
-    assert threads == [None, None]
+    assert helpers == []
 
 
 def _shared_device_graphs(runtime, n):
@@ -919,7 +919,7 @@ def _payloads(graph):
 def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
     # n callers drive one runtime at once, more of them than cores, switching
     # threads often; when mixed, every other caller submits async and waits on
-    # the workers instead: each device runs one task at a time, and every graph
+    # the helpers instead: each device runs one task at a time, and every graph
     # ends with the payloads of a sequential run
     def together():
         with make_runtime(qpu=2, host=1) as runtime:
@@ -942,7 +942,7 @@ def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
                 thread.join(10)
             assert not any(t.is_alive() for t in threads)
             assert [(d.running, d.pending) for d in runtime.devices] == [(0, 0)] * 3
-            assert mixed or all(d._thread is None for d in runtime.devices)
+            assert mixed or not runtime._helpers
         return graphs
 
     with make_runtime(qpu=2, host=1) as runtime:
@@ -962,8 +962,8 @@ def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
 
 
 def test_a_graph_submitted_async_by_a_sync_run_goes_to_a_worker():
-    # only a sync submit's tasks are held for its caller: the second graph's
-    # task goes to the qpu's worker, and outlives the sync run
+    # only a sync submit's tasks are left to its caller: the second graph's
+    # task goes to a helper thread, and outlives the sync run
     def spawn():
         with make_runtime(qpu=1, host=1) as runtime:
             second = runtime.create_graph(seed=2)
@@ -972,11 +972,11 @@ def test_a_graph_submitted_async_by_a_sync_run_goes_to_a_worker():
             first = runtime.create_graph()
             first.create_task("spawn", HostKernel("spawn"))
             runtime.submit(first, sync=True)
-            return runtime.wait(second, timeout=10), [d._thread is None for d in runtime.devices]
+            return runtime.wait(second, timeout=10), len(runtime._helpers)
 
-    results, threadless = _on_a_thread(spawn)
+    results, helpers = _on_a_thread(spawn)
     assert results[0].status is TaskState.COMPLETED and results[0].device_id == 0
-    assert threadless == [False, True]
+    assert helpers == 1
 
 
 def test_a_kernel_of_a_sync_run_may_wait_for_an_async_submit():
@@ -1025,9 +1025,9 @@ def test_an_async_submit_runs_while_a_sync_caller_is_busy():
 
 
 def test_a_worker_waits_while_a_sync_caller_runs_a_task_on_its_device():
-    # a kernel of a sync run gives both devices async work: the qpu's held task
-    # goes to the new worker ahead of it, and the host's worker begins only once
-    # the caller has freed the host device, so no device runs two tasks at once
+    # a kernel of a sync run gives both devices async work: a helper runs the
+    # pinned qpu task, and the host task begins only once the caller has freed the
+    # host device, so no device runs two tasks at once
     def run():
         with make_runtime(qpu=1, host=1) as runtime:
             second = runtime.create_graph(seed=2)
@@ -1036,7 +1036,7 @@ def test_a_worker_waits_while_a_sync_caller_runs_a_task_on_its_device():
 
             def spawn(params, deps):
                 runtime.submit(second)
-                time.sleep(0.05)  # the host's new worker tries its task meanwhile
+                time.sleep(0.05)  # a helper runs the qpu task meanwhile
 
             runtime.register_host_kernel("spawn", spawn)
             runtime.register_host_kernel("nop", lambda p, d: p)
@@ -1046,20 +1046,20 @@ def test_a_worker_waits_while_a_sync_caller_runs_a_task_on_its_device():
             first.create_task("h", HostKernel("nop", (1,)), deps=[head])
             runtime.submit(first, sync=True)
             runtime.wait(second, timeout=10)
-            return first, second, [d._thread is not None for d in runtime.devices]
+            return first, second, len(runtime._helpers)
 
-    first, second, threaded = _on_a_thread(run)
+    first, second, helpers = _on_a_thread(run)
     for graph in (first, second):
         assert all(t.state is TaskState.COMPLETED for t in graph.tasks.values())
         _check_trace(graph)
-    assert threaded == [True, True]
+    assert 1 <= helpers <= 2
 
 
 @pytest.mark.parametrize("where", ["_begin", "_end"])
 def test_an_interrupt_in_the_driver_leaves_no_task_stuck(monkeypatch, where):
     # as if Ctrl-C landed after the driver took a task but before it began it
     # (_begin), or after the task ended but before its device was freed (_end):
-    # submit raises, and the rest of the graph runs on the device's worker
+    # submit raises, and the rest of the graph runs on a helper thread
     real = getattr(Runtime, where)
     fired = []
 
@@ -1091,6 +1091,91 @@ def test_an_interrupt_in_the_driver_leaves_no_task_stuck(monkeypatch, where):
         (TaskState.COMPLETED, (1,)),
     ]
     assert counts == (0, 0)
+
+
+def test_an_interrupt_in_the_loop_over_dependents_leaves_no_task_stuck(monkeypatch):
+    # as if Ctrl-C landed in _end's loop over a completed task's dependents, before
+    # it promoted t1: the cleanup promotes it, so the graph ends without a shutdown
+    real = Runtime._make_ready
+    fired = []
+
+    def interrupted(self, graph, task):
+        if not fired and sys._getframe(1).f_code.co_name == "_end":
+            fired.append(task.id)
+            raise KeyboardInterrupt
+        return real(self, graph, task)
+
+    monkeypatch.setattr(Runtime, "_make_ready", interrupted)
+
+    def run():
+        with make_runtime(qpu=0, host=1) as runtime:
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            first = graph.create_task("t0", HostKernel("nop", (0,)))
+            graph.create_task("t1", HostKernel("nop", (1,)), deps=[first])
+            with pytest.raises(KeyboardInterrupt):
+                runtime.submit(graph, sync=True)
+            runtime.wait(graph, timeout=2)  # only waits: a helper runs t1
+            return [t.state for t in graph.tasks.values()], graph.done()
+
+    states, done = _on_a_thread(run)
+    assert fired == [1]
+    assert states == [TaskState.COMPLETED] * 2 and done
+
+
+def test_wait_runs_its_graph_on_the_calling_thread():
+    # with no helper to run them, wait() without a timeout runs the graph's tasks itself
+    def run():
+        with make_runtime(qpu=1, host=1) as runtime:
+            runtime._start_helper = lambda: None
+            ran_on = []
+            runtime.register_host_kernel("where", lambda p, d: ran_on.append(threading.current_thread()))
+            graph = runtime.create_graph(seed=3)
+            first = graph.create_task("q", bell_kernel())
+            graph.create_task("h", HostKernel("where"), deps=[first])
+            results = runtime.wait(runtime.submit(graph))
+            return results, ran_on == [threading.current_thread()]
+
+    results, here = _on_a_thread(run)
+    assert [r.status for r in results.values()] == [TaskState.COMPLETED] * 2 and here
+
+
+def _live_helpers(before):
+    return [t for t in threading.enumerate() if t.name == "qtask-helper" and t not in before]
+
+
+def test_helpers_never_outnumber_the_devices_they_run():
+    # k + 2 blocking tasks on k host devices: a helper starts only while a task
+    # waits beside a free device and no helper is idle, so k of them run every
+    # task, and shutdown() stops them all
+    k = 3
+    before = set(threading.enumerate())
+    started, release = threading.Semaphore(0), threading.Event()
+    runtime = make_runtime(qpu=0, host=k)
+    try:
+        runtime.register_host_kernel("block", lambda p, d: started.release() or release.wait(10))
+        graph = runtime.create_graph()
+        for i in range(k + 2):
+            graph.create_task(f"t{i}", HostKernel("block", (i,)))
+        runtime.submit(graph)
+        counts = [len(_live_helpers(before))]
+        for _ in range(k):
+            assert started.acquire(timeout=10)
+            counts.append(len(_live_helpers(before)))
+        time.sleep(0.05)  # a helper too many would start meanwhile
+        helpers = _live_helpers(before)
+        release.set()
+        deadline = time.monotonic() + 10
+        while not graph.done() and time.monotonic() < deadline:
+            counts.append(len(_live_helpers(before)))
+            time.sleep(0.001)
+        results = runtime.wait(graph, timeout=10)
+    finally:
+        release.set()
+        runtime.shutdown()
+    assert len(helpers) == k and max(counts) <= k
+    assert [r.status for r in results.values()] == [TaskState.COMPLETED] * (k + 2)
+    assert not any(t.is_alive() for t in helpers) and not _live_helpers(before)
 
 
 # -- graph JSON ---------------------------------------------------------------
@@ -1133,8 +1218,8 @@ def test_parse_graph_spec_roundtrip():
 
 @pytest.mark.parametrize("field", ["qpu", "host"])
 def test_parse_graph_spec_bounds_device_counts(field):
-    # each device is a worker thread, so counts from a file are capped; the
-    # spec is rejected before any runtime exists
+    # the runtime scans a class's devices as each task ends, so counts from a file
+    # are capped; the spec is rejected before any runtime exists
     def spec(count):
         return json.dumps({"devices": {field: count}, "tasks": []})
 
@@ -1253,7 +1338,7 @@ def test_set_state_allows_exactly_the_lifecycle_transitions(old, new):
 
 
 def test_an_idle_worker_holds_no_ended_graph():
-    # the worker that ran a graph's last task lets go of it before waiting for
+    # the thread that ran a graph's last task lets go of it before waiting for
     # the next, so the graph is freed while the runtime runs on
     gc.disable()
     try:
@@ -1272,17 +1357,17 @@ def test_an_idle_worker_holds_no_ended_graph():
 
 
 def test_an_idle_worker_thread_holds_no_ended_graph():
-    # as above, through an async submit, which the device's worker thread runs
+    # as above, through an async submit, which a helper thread runs
     gc.disable()
     try:
         with make_runtime(qpu=0, host=1) as runtime:
             runtime.register_host_kernel("nop", lambda p, d: p)
             graph = runtime.create_graph()
             graph.create_task("t", HostKernel("nop"))
-            runtime.wait(runtime.submit(graph))
+            runtime.wait(runtime.submit(graph), timeout=10)  # only waits: a helper runs it
             ref = weakref.ref(graph)
             del graph
-            assert runtime.devices[0]._thread is not None
+            assert runtime._helpers
             deadline = time.monotonic() + 10
             while ref() is not None and time.monotonic() < deadline:
                 time.sleep(0.001)

@@ -1,13 +1,13 @@
-"""Threadless runtime driver: devices with no worker thread, whose queued tasks
-run one at a time, in an order drawn from a seed, through ``Runtime._execute_on``
-(each queue holds ``(graph, task)`` pairs).
+"""Threadless runtime driver: a runtime that starts no helper thread, whose
+queued tasks run one at a time, in an order drawn from a seed, through the
+runtime's own ``Runtime._step`` (its run queue holds ``(device, graph, task)``
+entries).
 
 Which device finishes next is the only freedom a threaded run has, so drawing
 it from a seed makes every interleaving reproducible and lets a test inspect
 the runtime between any two task ends.
 """
 
-import collections
 import gc
 import hashlib
 import os
@@ -24,62 +24,37 @@ from qtask.runtime import (
     QPU,
     TERMINAL_STATES,
     CircuitKernel,
-    HostDevice,
     HostKernel,
-    QpuDevice,
-    Runtime,
     TaskState,
     make_runtime,
 )
-
-
-class _Queue(collections.deque):
-    put = collections.deque.append
-
-
-class _Threadless:
-    """Device mixin: tasks the runtime queues wait on a deque that ``_step`` serves."""
-
-    def __init__(self, device_id):
-        super().__init__(device_id)
-        self._queue = _Queue()
-
-    def _start(self, runtime):
-        pass
-
-
-class _Qpu(_Threadless, QpuDevice):
-    pass
-
-
-class _Host(_Threadless, HostDevice):
-    pass
 
 
 def _boom(params, deps):
     raise ValueError(params)
 
 
-def _runtime(qpu, host, threadless=True):
-    if threadless:
-        runtime = Runtime()
-        for i in range(qpu + host):
-            runtime.register_device(_Qpu(i) if i < qpu else _Host(i))
-    else:
-        runtime = make_runtime(qpu=qpu, host=host)
+def _runtime(qpu, host, helpers=False):
+    runtime = make_runtime(qpu=qpu, host=host)
+    if not helpers:
+        runtime._start_helper = lambda: None  # queued tasks wait for _step
     runtime.register_host_kernel("nop", lambda p, d: p)
     runtime.register_host_kernel("boom", _boom)
     return runtime
 
 
 def _step(runtime, rng) -> bool:
-    """Run one queued task on a device drawn by ``rng``; False when no task is queued."""
-    busy = [d for d in runtime.devices if d._queue]
+    """Run the first queued task of a device drawn by ``rng``, through the runtime's
+    own step; False when no task is queued."""
+    queued = runtime._queued
+    busy = [d for d in runtime.devices if any(s[0] is d for s in queued)]
     if not busy:
         return False
     device = rng.choice(busy)
-    runtime._execute_on(device, *device._queue.popleft())
-    return True
+    entry = next(s for s in queued if s[0] is device)
+    queued.remove(entry)
+    queued.appendleft(entry)  # a step takes its graph's first queued task on a free device
+    return runtime._step(entry[1])
 
 
 _BELL = Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1))
@@ -130,7 +105,7 @@ def _outcome(graphs):
 
 
 def _no_task_waits_beside_an_idle_device(runtime, graphs):
-    queued = {id(t) for d in runtime.devices for _, t in d._queue}
+    queued = {id(t) for _, _, t in runtime._queued}
     idle = {d.device_class for d in runtime.devices if d.pending == 0}
     for graph in graphs:
         for task in graph.tasks.values():
@@ -170,7 +145,7 @@ def _run_threadless(scenario, policy, seed):
 
 def _run_threaded(scenario, policy, order):
     qpu, host, specs = scenario
-    with _runtime(qpu, host, threadless=False) as runtime:
+    with _runtime(qpu, host, helpers=True) as runtime:
         graphs = _build(runtime, specs)
         handles = [runtime.submit(graphs[i], policy=policy) for i in order]
         for handle in handles:
@@ -212,6 +187,33 @@ def test_placement_bytes(policy):
     assert digest.hexdigest() == PLACEMENT_SHA256[policy]
 
 
+def _run_each(scenario, policy, sync):
+    """Submit each graph in turn and run it to its end on this thread, by
+    ``submit(sync=True)`` or by ``submit`` then ``wait()``; no helper starts."""
+    qpu, host, specs = scenario
+    runtime = _runtime(qpu, host)
+    graphs = _build(runtime, specs)
+    for graph in graphs:
+        if sync:
+            runtime.submit(graph, policy=policy, sync=True)
+        else:
+            runtime.wait(runtime.submit(graph, policy=policy))
+    return graphs
+
+
+@pytest.mark.parametrize("policy", ["default", "roundrobin"])
+def test_a_sync_run_and_a_waited_run_give_one_trace(policy):
+    # wait() runs its graph as submit(sync=True) does: the same steps in the same
+    # order, so the same trace, payloads and devices
+    for seed in range(50):
+        synced, waited = (_run_each(_scenario(seed), policy, sync) for sync in (True, False))
+        assert [g.trace for g in synced] == [g.trace for g in waited]
+        assert _outcome(synced) == _outcome(waited)
+        assert [[t.result.device_id for t in g.tasks.values()] for g in synced] == [
+            [t.result.device_id for t in g.tasks.values()] for g in waited
+        ]
+
+
 @pytest.mark.fullscale
 @pytest.mark.skipif(
     not os.environ.get("QTASK_FULL_SCALE"),
@@ -246,10 +248,10 @@ def test_default_task_waits_while_its_device_is_busy():
     )
     runtime.submit(graph)
     (device,) = runtime.devices
-    assert list(device._queue) == [(graph, first)]
+    assert list(runtime._queued) == [(device, graph, first)]
     assert second.state is TaskState.READY
-    runtime._execute_on(device, *device._queue.popleft())
-    assert list(device._queue) == [(graph, second)]
+    runtime._step(graph)
+    assert list(runtime._queued) == [(device, graph, second)]
 
 
 def test_default_tasks_take_the_lowest_id_idle_devices():
@@ -260,7 +262,7 @@ def test_default_tasks_take_the_lowest_id_idle_devices():
     graph = runtime.create_graph()
     tasks = [graph.tasks[graph.create_task(f"t{i}", _kernel("sampled", ()))] for i in range(2)]
     runtime.submit(graph)
-    queued = {t.name: d.id for d in runtime.devices for g, t in d._queue if g is graph}
+    queued = {t.name: d.id for d, g, t in runtime._queued if g is graph}
     assert queued == {"t0": 1, "t1": 2}
     assert all(t.state is TaskState.READY for t in tasks)
 
@@ -302,8 +304,8 @@ def _refers_to(task, graph) -> bool:
 
 
 def test_a_task_holds_no_reference_to_its_graph():
-    # the graph travels beside its tasks, through the ready heap, the device
-    # queues and _execute_on, so no task refers back to it at any point
+    # the graph travels beside its tasks, through the ready heap, the run queue
+    # and _step, so no task refers back to it at any point
     runtime = _runtime(qpu=0, host=1)
     graph = runtime.create_graph()
     running = []  # whether each task, while it runs, refers to its graph
@@ -316,7 +318,7 @@ def test_a_task_holds_no_reference_to_its_graph():
     assert not any(_refers_to(t, graph) for t in tasks)  # created
     runtime.submit(graph)
     (device,) = runtime.devices
-    assert list(device._queue) == [(graph, tasks[0])]
+    assert list(runtime._queued) == [(device, graph, tasks[0])]
     assert tasks[1].state is TaskState.READY  # waits in the ready heap
     assert not any(_refers_to(t, graph) for t in tasks)  # queued and waiting
     while _step(runtime, random.Random(0)):
@@ -341,5 +343,5 @@ def test_shutdown_fails_each_task_not_started_itself():
     ] * 3
     assert graph.trace == [(i, "failed", i, None) for i in range(3)]
     (device,) = runtime.devices
-    runtime._execute_on(device, *device._queue.popleft())  # the queued t0 does not start
+    assert not runtime._queued and not runtime._step(graph)  # the queued t0 does not start
     assert device.pending == 0 and len(graph.trace) == 3
