@@ -8,7 +8,8 @@ and ``Runtime._step``, the only way a task runs, begins the first queued task
 whose device is free in the lock hold that takes it, runs its kernel, then
 ends it (``_end`` promotes or fails its dependents). ``submit(sync=True)`` and
 ``wait()`` without a timeout run steps of their graph on the calling thread;
-helper threads run the other graphs' steps until ``shutdown()``, one starting
+helper threads run steps until ``shutdown()``, of any graph with no idle
+caller (a ``wait()`` caller inside a host kernel is not idle), one starting
 only when such a task is runnable on a free device and no helper is idle.
 
 Data movement is modeled by DMEM objects with a clean/dirty coherence state
@@ -55,8 +56,8 @@ HOST = "host"
 QPU = "qpu"
 
 POLICIES = ("default", "roundrobin")
-# per class, from graph JSON or the CLI: _dispatch scans a class's devices after each
-# task ends, and up to one helper thread may start per busy device
+# per class, from graph JSON or the CLI: a step and _dispatch scan the devices as each
+# task ends, and up to one helper thread may run per busy device
 MAX_DEVICES = 256
 
 CycleError = graphlib.CycleError
@@ -183,7 +184,9 @@ class TaskGraph:
         # task id -> device fixed at submit by _plan (None: no capable device)
         self.plan: dict[int, DeviceBackend | None] = {}
         self._order: int | None = None  # submit rank among the runtime's graphs, set by submit
-        self._sync = False  # a caller runs it (submit(sync=True), wait()); helpers leave it
+        # threads running it and not inside its kernels (submit(sync=True) never leaves,
+        # wait() leaves for each host kernel); helpers leave its tasks while there are any
+        self._callers: set[int] = set()
         # the one record of run order: (seq, event, task id, device id), seq being the
         # entry's index; a task has a "running" entry if it ran, then a terminal one
         self.trace: list[tuple[int, str, int, int | None]] = []
@@ -481,6 +484,7 @@ class Runtime:
         self._queued: deque[tuple[DeviceBackend, TaskGraph, Task]] = deque()
         self._helpers: list[threading.Thread] = []
         self._idle = 0  # helpers not running a step
+        self._waiting = 0  # callers waiting in _step for a task of their graph
         self._closed = False
 
     # -- registries
@@ -548,7 +552,8 @@ class Runtime:
                     graph.dependents[d].append(task.id)
             if graph.tasks:
                 self._active[graph._order] = graph
-            graph._sync = sync  # before placing, so no helper takes this graph's tasks
+            if sync:  # before placing, so no helper takes this graph's tasks
+                graph._callers.add(threading.get_ident())
             for task in graph.tasks.values():
                 if task.remaining_deps == 0:
                     self._make_ready(graph, task)
@@ -563,20 +568,25 @@ class Runtime:
         """Block until the graph, submitted to this runtime, is terminal; idempotent.
 
         Without a timeout the caller runs the graph's tasks meanwhile, as
-        ``submit(sync=True)`` does. With one it only waits, as a kernel cannot be
-        stopped at the deadline, and returns a snapshot of the results so far.
+        ``submit(sync=True)`` does, but while it runs a host kernel helpers may
+        run the others. With one it only waits, as a kernel cannot be stopped at the
+        deadline, and returns a snapshot of the results so far.
         """
         if graph._runtime is not self:  # its end would never wake this runtime's waiters
             raise ValueError("graph belongs to a different runtime")
         with self._cond:
             if graph._order is None:
                 raise ValueError("graph not submitted")
-            graph._sync |= timeout is None
+            if timeout is None:
+                graph._callers.add(threading.get_ident())
         if timeout is None:
-            self._drive(graph)
+            self._drive(graph, lend=True)
         deadline = time.monotonic() + (timeout or 0)
         with self._cond:
-            while graph._unfinished and (remaining := deadline - time.monotonic()) > 0:
+            while graph._unfinished:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
                 self._cond.wait(remaining)
             return {tid: t.result for tid, t in graph.tasks.items() if t.result is not None}
 
@@ -662,11 +672,27 @@ class Runtime:
             self._end(graph, task, TaskResult(TaskState.FAILED, None, "no-capable-device"))
             return
         device.pending += 1
-        self._queued.append((device, graph, task))  # _end_run wakes the callers waiting for it
+        self._queued.append((device, graph, task))
+        if self._waiting and graph._callers:  # one of them may be waiting for it
+            self._cond.notify_all()
+
+    def _next(self, graph: TaskGraph | None) -> tuple[DeviceBackend, TaskGraph, Task] | None:
+        # the first queued step on a free device: of ``graph`` for its caller, else
+        # of a graph with no idle caller
+        for step in self._queued:
+            if not step[0].running and (step[1] is graph or (graph is None and not step[1]._callers)):
+                return step
+        return None
 
     def _help(self):
-        # a helper for a task that no caller runs and whose device is free, if any
-        if any(not d.running and not g._sync for d, g, _ in self._queued):
+        # a helper for a step that no idle caller will take, if there is one; the
+        # queue is read only while some graph has no idle caller and some device
+        # with a queued task is free
+        if (
+            any(not g._callers for g in self._active.values())
+            and any(d.pending and not d.running for d in self._devices.values())
+            and self._next(None)
+        ):
             self._start_helper()
 
     def _start_helper(self):
@@ -680,9 +706,9 @@ class Runtime:
             self._helpers.append(helper)
             helper.start()
 
-    def _drive(self, graph: TaskGraph | None = None):
+    def _drive(self, graph: TaskGraph | None = None, lend: bool = False):
         # the one loop: a caller's until its graph ends, a helper's until shutdown()
-        while self._step(graph):
+        while self._step(graph, lend):
             pass
 
     def _dispatch(self):
@@ -707,22 +733,15 @@ class Runtime:
             raise AssertionError(f"device {device.id} double occupancy")
         graph._record("running", task, device.id)
 
-    def _end(self, graph: TaskGraph, task: Task, result: TaskResult | None):
+    def _end(self, graph: TaskGraph, task: Task, result: TaskResult):
         """The one end of a run or a placement: record the result, then promote a
-        completed task's dependents or fail a failed task's transitive dependents.
-        With no result it mends an end that an interrupt cut short, and can be
-        repeated: each Submitted dependent then counts its unfinished deps afresh."""
-        if result is not None:
-            self._finish(graph, task, result)
-        if task.state is TaskState.COMPLETED:
+        completed task's dependents or fail a failed task's transitive dependents."""
+        self._finish(graph, task, result)
+        if result.status is TaskState.COMPLETED:
             # ascending id, so queue and failure order follow task ids
             for dep_id in graph.dependents[task.id]:
                 dependent = graph.tasks[dep_id]
-                if result is not None:
-                    dependent.remaining_deps -= 1
-                elif dependent.state is TaskState.SUBMITTED:
-                    deps = (graph.tasks[d] for d in dependent.deps)
-                    dependent.remaining_deps = sum(d.state is not TaskState.COMPLETED for d in deps)
+                dependent.remaining_deps -= 1
                 if dependent.remaining_deps == 0 and dependent.state is TaskState.SUBMITTED:
                     self._make_ready(graph, dependent)
             return
@@ -736,34 +755,53 @@ class Runtime:
             self._finish(graph, dependent, TaskResult(TaskState.FAILED, None, "dependency-failed"))
             stack.extend(graph.dependents[dep_id])
 
-    def _step(self, graph: TaskGraph | None = None) -> bool:
+    def _step(self, graph: TaskGraph | None = None, lend: bool = False) -> bool:
         """Run one queued task: the first whose device is free, of ``graph`` for its
-        caller (``submit(sync=True)``, ``wait``), else, for a helper, of a graph that
-        no caller runs. It begins in the lock hold that takes it, so no two threads
-        share a device. Blocks until there is one; False once ``graph`` has ended
-        or, for a helper, the runtime is shut down."""
+        caller (``submit(sync=True)``, ``wait``), else, for a helper, of a graph with no
+        idle caller. It begins in the lock hold that takes it, so no two threads share
+        a device. A caller that lends (``wait``) is not idle while it runs a host
+        kernel, a callback that may wait for another task, so helpers may run the
+        graph's other tasks meanwhile; a qpu kernel runs its circuit and waits for
+        none. Blocks until there is a task; False once ``graph`` has ended or, for a
+        helper, the runtime is shut down."""
+        me = threading.get_ident()
         step = None
         try:
             with self._cond:
                 while True:
-                    step = next((s for s in self._queued if not s[0].running and (
-                        s[1] is graph if graph else not s[1]._sync)), None)
+                    step = self._next(graph)
                     if step:
                         break
-                    if graph._unfinished == 0 if graph else self._closed:
+                    if graph is None:
+                        if self._closed:
+                            return False
+                        self._work.wait()
+                    elif graph._unfinished:
+                        self._waiting += 1  # until _place or _end_run wakes it
+                        try:
+                            self._cond.wait()
+                        finally:
+                            self._waiting -= 1
+                    else:
+                        graph._callers.discard(me)
                         return False
-                    (self._cond if graph else self._work).wait()
                 self._queued.remove(step)
                 self._begin(*step)
-                if not graph:
+                lent = lend and isinstance(step[2].kernel, HostKernel)
+                if graph is None:
                     self._idle -= 1
+                    self._help()
+                elif lent:
+                    graph._callers.discard(me)
                     self._help()
             result, raised = self._run(*step)
             with self._cond:
-                self._idle += not graph  # before _end places dependents: this helper takes them
+                # idle again before _end_run places dependents, so this thread takes them
+                if graph is None:
+                    self._idle += 1
+                elif lent:
+                    graph._callers.add(me)
                 self._end_run(*step, result)
-                if graph and len(self._active) > (graph._unfinished > 0):  # other graphs active:
-                    self._help()  # a task of one may wait for the device freed here
             if graph and isinstance(raised, KeyboardInterrupt):
                 raise raised  # once the task it landed in has failed
             return True
@@ -774,12 +812,20 @@ class Runtime:
                 elif step and step[2].state is TaskState.RUNNING:
                     error = f"{type(exc).__name__}: {exc}"
                     self._end_run(*step, TaskResult(TaskState.FAILED, None, error, step[0].id))
-                elif step:  # ended: the interrupt may have landed in _end's loop
-                    self._end(step[1], step[2], None)
+                elif step:  # ended: _end's loop over dependents may not have got to them all
+                    g = step[1]
+                    for t in g.tasks.values():  # in id order, so each task's deps come first
+                        if t.state is TaskState.SUBMITTED:
+                            states = [g.tasks[d].state for d in t.deps]
+                            t.remaining_deps = sum(s is not TaskState.COMPLETED for s in states)
+                            if TaskState.FAILED in states:
+                                self._finish(g, t, TaskResult(TaskState.FAILED, None, "dependency-failed"))
+                            elif t.remaining_deps == 0:
+                                self._make_ready(g, t)
                     self._dispatch()
                 if graph:  # a caller gone early leaves its graph to helpers
-                    graph._sync = False
-                    self._help()
+                    graph._callers.discard(me)
+                self._help()
                 self._cond.notify_all()
             raise
 
@@ -811,8 +857,9 @@ class Runtime:
             device.running -= 1
             device.pending -= 1
             self._dispatch()  # the freed device may take a waiting task of any graph
-            if self._queued:  # a waiting caller may take a task placed here, or one of this device
+            if self._waiting and device.pending:  # a caller may wait for a task queued here
                 self._cond.notify_all()
+            self._help()
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:

@@ -659,6 +659,28 @@ def test_waiter_wakes_once_per_graph(monkeypatch):
     assert len(wakeups) <= 1
 
 
+def test_a_timed_waiter_wakes_once_per_graph(monkeypatch):
+    # as above while a helper runs the chain: a task it queues wakes only callers
+    # of its graph, and this graph has none
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("sleep", _sleep_ms)
+        graph = runtime.create_graph()
+        prev = []
+        for i in range(30):
+            prev = [graph.create_task(f"t{i}", HostKernel("sleep", params=(1,)), deps=prev)]
+        wakeups = []
+        cond_wait = runtime._cond.wait
+
+        def counting_wait(timeout=None):
+            wakeups.append(timeout)
+            return cond_wait(timeout)
+
+        monkeypatch.setattr(runtime._cond, "wait", counting_wait)
+        results = runtime.wait(runtime.submit(graph), timeout=10)
+    assert len(results) == 30 and all(r.status is TaskState.COMPLETED for r in results.values())
+    assert len(wakeups) <= 1
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_runtime_keeps_no_ended_graph(policy):
     with make_runtime(qpu=0, host=1) as runtime:
@@ -1138,6 +1160,51 @@ def test_wait_runs_its_graph_on_the_calling_thread():
 
     results, here = _on_a_thread(run)
     assert [r.status for r in results.values()] == [TaskState.COMPLETED] * 2 and here
+
+
+@pytest.mark.parametrize("after_a_root", [False, True])
+def test_waited_tasks_that_must_overlap_meet(after_a_root):
+    # two host tasks meet at a barrier: while the waiting caller runs one, a
+    # helper runs the other, as roots or once a shared dependency has ended
+    def run():
+        with make_runtime(qpu=0, host=2) as runtime:
+            barrier = threading.Barrier(2)
+            runtime.register_host_kernel("meet", lambda p, d: barrier.wait(5))
+            runtime.register_host_kernel("nop", lambda p, d: p)
+            graph = runtime.create_graph()
+            deps = [graph.create_task("root", HostKernel("nop"))] if after_a_root else []
+            for i in range(2):
+                graph.create_task(f"t{i}", HostKernel("meet", (i,)), deps=deps)
+            return runtime.wait(runtime.submit(graph))
+
+    results = _on_a_thread(run)
+    assert [(r.status, r.error) for r in results.values()] == [(TaskState.COMPLETED, None)] * len(results)
+
+
+def test_a_waited_chain_stays_on_the_waiting_thread():
+    # once its caller waits, helpers leave the graph to it: each task ends with
+    # the caller idle, so the caller takes the next, whoever ran the first
+    def run():
+        with make_runtime(qpu=0, host=1) as runtime:
+            graph = runtime.create_graph()
+            ran_on, caller = [], threading.current_thread()
+
+            def first(params, deps):
+                deadline = time.monotonic() + 10  # until the caller is in wait()
+                while threading.current_thread() is not caller and not graph._callers:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+
+            runtime.register_host_kernel("first", first)
+            runtime.register_host_kernel("where", lambda p, d: ran_on.append(threading.current_thread()))
+            prev = [graph.create_task("t0", HostKernel("first"))]
+            for i in range(1, 20):
+                prev = [graph.create_task(f"t{i}", HostKernel("where", (i,)), deps=prev)]
+            results = runtime.wait(runtime.submit(graph))
+            return results, ran_on == [caller] * 19
+
+    results, here = _on_a_thread(run)
+    assert [r.status for r in results.values()] == [TaskState.COMPLETED] * 20 and here
 
 
 def _live_helpers(before):
