@@ -802,6 +802,8 @@ class Runtime:
                 elif lent:
                     graph._callers.add(me)
                 self._end_run(*step, result)
+                if graph is not None:  # a helper takes the next step itself
+                    self._help()
             if graph and isinstance(raised, KeyboardInterrupt):
                 raise raised  # once the task it landed in has failed
             return True
@@ -859,7 +861,6 @@ class Runtime:
             self._dispatch()  # the freed device may take a waiting task of any graph
             if self._waiting and device.pending:  # a caller may wait for a task queued here
                 self._cond.notify_all()
-            self._help()
 
 
 def make_runtime(qpu: int = 1, host: int = 1) -> Runtime:
