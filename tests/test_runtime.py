@@ -936,13 +936,14 @@ def _payloads(graph):
     return {t.name: (t.state, t.result.payload) for t in graph.tasks.values()}
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["sync", "mixed"])
+@pytest.mark.parametrize("mode", ["sync", "mixed", "waited"])
 @pytest.mark.parametrize("n", [2, 4])
-def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
+def test_threads_each_run_a_sync_submit_on_one_runtime(n, mode):
     # n callers drive one runtime at once, more of them than cores, switching
-    # threads often; when mixed, every other caller submits async and waits on
-    # the helpers instead: each device runs one task at a time, and every graph
-    # ends with the payloads of a sequential run
+    # threads often; every other caller instead submits async and, when mixed,
+    # waits on the helpers or, when waited, runs its graph through wait() beside
+    # them: each device runs one task at a time, and every graph ends with the
+    # payloads of a sequential run
     def together():
         with make_runtime(qpu=2, host=1) as runtime:
             graphs = _shared_device_graphs(runtime, n)
@@ -950,8 +951,10 @@ def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
 
             def run(i, graph):
                 start.wait(10)
-                if mixed and i % 2:
+                if mode == "mixed" and i % 2:
                     runtime.wait(runtime.submit(graph), timeout=10)
+                elif mode == "waited" and i % 2:
+                    runtime.wait(runtime.submit(graph))
                 else:
                     runtime.submit(graph, sync=True)
 
@@ -964,7 +967,7 @@ def test_threads_each_run_a_sync_submit_on_one_runtime(n, mixed):
                 thread.join(10)
             assert not any(t.is_alive() for t in threads)
             assert [(d.running, d.pending) for d in runtime.devices] == [(0, 0)] * 3
-            assert mixed or not runtime._helpers
+            assert mode != "sync" or not runtime._helpers
         return graphs
 
     with make_runtime(qpu=2, host=1) as runtime:
