@@ -305,6 +305,14 @@ def _instance_value(weights, terms: Sequence[QpdTerm], dists, moment=_moment) ->
     return value * moment(dists[len(terms)], 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _walk(terms: tuple[QpdTerm, ...], n_cuts: int):
+    """estimate_zzzz's walk, which depends on the decomposition only: each (k, s)
+    in ascending order, as its instance key, its terms and their coefficients."""
+    products = itertools.product(sorted(terms, key=lambda t: t.index), repeat=n_cuts)
+    return tuple((_instance_key(ts), ts, tuple(t.coefficient for t in ts)) for ts in products)
+
+
 @dataclass
 class QpdEstimate:
     value: float
@@ -333,9 +341,8 @@ def estimate_zzzz(
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be exact or sampled, got {mode!r}")
     n_cuts = 1 if any(s is None for (_, s) in results) else 2
-    ordered = sorted(decomp.terms, key=lambda t: t.index)
-    walk = [(_instance_key(terms), terms) for terms in itertools.product(ordered, repeat=n_cuts)]
-    missing = [key for key, _ in walk if key not in results]
+    walk = _walk(tuple(decomp.terms), n_cuts)
+    missing = [key for key, _, _ in walk if key not in results]
     if missing:
         raise ValueError(f"missing instance results: {missing[:4]}...")
 
@@ -343,14 +350,14 @@ def estimate_zzzz(
 
     def moment(dist, second: int) -> float:
         key = id(dist), second
-        if key not in moments:
-            moments[key] = _moment(dist, second)
-        return moments[key]
+        found = moments.get(key)
+        if found is None:
+            found = moments[key] = _moment(dist, second)
+        return found
 
     value = 0.0
-    for key, terms in walk:
+    for key, terms, weights in walk:
         res = results[key]
-        weights = [t.coefficient for t in terms]
         value += _instance_value(weights, terms, (res.p1, res.p2, res.p3), moment)
 
     shots = None
@@ -375,7 +382,7 @@ def _fragment_task_names(k: int, s: int | None, dedup: bool) -> tuple[str, ...]:
 def _reduce_kernel(params, deps):
     decomp, mode, names_by_instance = params
     results = {
-        key: InstanceResult(*(deps[n] for n in names)) for key, names in names_by_instance
+        key: InstanceResult(*map(deps.__getitem__, names)) for key, names in names_by_instance
     }
     return estimate_zzzz(results, decomp, mode)
 
@@ -479,8 +486,9 @@ def validate_run(
 ) -> QpdEstimate:
     """Run the full two-cut graph ``reps`` times and report mean and std.
 
-    Each repetition submits a fresh graph with a seed derived from
-    (seed, rep), so the whole sweep is reproducible for any device count.
+    The graph is built once and submitted again for each repetition with a
+    seed derived from (seed, rep), so the whole sweep is reproducible for any
+    device count.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -491,18 +499,12 @@ def validate_run(
     runtime = rt.make_runtime(qpu=devices, host=1)
     values: list[float] = []
     try:
+        graph = instances_to_graph(runtime, decomp, instances, shots, mode, dedup=dedup)
+        reduce_task = graph.tasks[graph.task_id_by_name(REDUCE_TASK)]
         for rep in range(reps):
-            graph = instances_to_graph(
-                runtime,
-                decomp,
-                instances,
-                shots=shots,
-                mode=mode,
-                seed=derive_seed(seed, "rep", rep),
-                dedup=dedup,
-            )
-            results = runtime.wait(runtime.submit(graph, policy="roundrobin", sync=True))
-            reduce_res = results[graph.task_id_by_name(REDUCE_TASK)]
+            graph.seed = derive_seed(seed, "rep", rep)
+            runtime.submit(graph, policy="roundrobin", sync=True)
+            reduce_res = reduce_task.result
             if reduce_res.status is not rt.TaskState.COMPLETED:
                 raise RuntimeError(f"reduction failed: {reduce_res.error}")
             values.append(reduce_res.payload.value)

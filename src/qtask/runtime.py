@@ -20,6 +20,8 @@ Determinism: kernels that sample take their seed from the kernel spec or,
 when unset, derive it from (graph seed, task id), so payloads are identical
 across scheduling policies and device counts. ``submit`` fixes each sampled
 qpu task's seed and hashes the graph's seeds in one pass (``seed_states``).
+A graph that has ended may be submitted again, with the same or a new seed,
+and runs as a fresh graph with that seed would, without being rebuilt.
 """
 
 from __future__ import annotations
@@ -523,6 +525,9 @@ class Runtime:
 
         A cycle is rejected before any task changes state. With sync=True the
         call runs the graph's tasks on the calling thread until it is terminal.
+        A graph that has ended may be submitted again: its tasks, kernels and
+        dependents are kept; results, trace, plan and seeds (from ``graph.seed``)
+        are made afresh. One still in flight raises.
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -531,25 +536,32 @@ class Runtime:
         with self._cond:
             if self._closed:
                 raise ValueError("runtime is shut down")
-            if graph._order is not None:
+            if graph._order is None:
+                # create_task takes only existing ids, so dependencies below their
+                # task's id prove the graph acyclic in O(E). graphlib checks any other
+                # graph, raising CycleError before any state change
+                if any(t.deps and max(t.deps) >= t.id for t in graph.tasks.values()):
+                    graphlib.TopologicalSorter({t.id: t.deps for t in graph.tasks.values()}).prepare()
+                graph.dependents = {tid: [] for tid in graph.tasks}  # a key for every task
+                for task in graph.tasks.values():
+                    for d in task.deps:
+                        graph.dependents[d].append(task.id)
+            elif graph._unfinished:
                 raise ValueError("graph already submitted")
-            # create_task takes only existing ids, so dependencies below their
-            # task's id prove the graph acyclic in O(E). graphlib checks any other
-            # graph, raising CycleError before any state change
-            if any(t.deps and max(t.deps) >= t.id for t in graph.tasks.values()):
-                graphlib.TopologicalSorter({t.id: t.deps for t in graph.tasks.values()}).prepare()
+            else:  # ended: its tasks are fixed, so their dependents and proof hold
+                for task in graph.tasks.values():
+                    task.state, task.result = TaskState.CREATED, None
+                graph.trace = []
+                graph._unfinished = len(graph.tasks)
 
             _fix_seeds(graph)
             graph._order = next(self._submits)
             # in id order, so placement does not depend on the order in which
             # tasks become ready
             graph.plan = _plan(graph.tasks.values(), self.devices, policy)
-            graph.dependents = {tid: [] for tid in graph.tasks}  # a key for every task
             for task in graph.tasks.values():
                 self._set_state(graph, task, TaskState.SUBMITTED)
                 task.remaining_deps = len(task.deps)
-                for d in task.deps:
-                    graph.dependents[d].append(task.id)
             if graph.tasks:
                 self._active[graph._order] = graph
             if sync:  # before placing, so no helper takes this graph's tasks
@@ -566,6 +578,7 @@ class Runtime:
 
     def wait(self, graph: TaskGraph, timeout: float | None = None) -> dict[int, TaskResult]:
         """Block until the graph, submitted to this runtime, is terminal; idempotent.
+        Reports the graph's latest run.
 
         Without a timeout the caller runs the graph's tasks meanwhile, as
         ``submit(sync=True)`` does, but while it runs a host kernel helpers may

@@ -222,9 +222,23 @@ def test_a_sweep_keys_and_simulates_each_fragment_circuit_once(monkeypatch, simu
         return content_key(circuit)
 
     monkeypatch.setattr(Circuit, "content_key", counted)
+    # the sweep builds its graph once: 81 tasks, and one check per distinct circuit
+    created, checked = [], []
+
+    def counting(fn, calls):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(rt.TaskGraph, "create_task", counting(rt.TaskGraph.create_task, created))
+    monkeypatch.setattr(rt, "check_simulable", counting(rt.check_simulable, checked))
     qpd.validate_run(reps=20, shots=1024, seed=5, devices=1)
     assert len(keyed) <= 34
     assert len(simulate_calls) <= 34
+    assert len(created) == 81
+    assert len(checked) == 24
 
 
 # sha256 of stdout, recorded before content keys, shared fragments and the

@@ -1464,3 +1464,141 @@ def test_ended_graph_is_freed_without_the_cyclic_collector():
         assert task.result.status is TaskState.COMPLETED
     finally:
         gc.enable()
+
+
+# -- submitting an ended graph again -------------------------------------------
+
+
+def _mixed_graph(runtime, seed, fail=False, interrupt=None):
+    """Sampled, exact and pinned qpu tasks feeding host tasks, on a runtime with
+    the "join", "boom" and "once" kernels: ``fail`` makes one host task raise,
+    so its dependents fail, and ``interrupt`` puts the "once" kernel there."""
+    graph = runtime.create_graph(seed=seed)
+    bell = [graph.create_task(f"bell{i}", bell_kernel(64 + i)) for i in range(3)]
+    exact = graph.create_task("exact", bell_kernel(0), device_req=1)
+    pinned_kernel = CircuitKernel(_bell_circuit(), shots=32, seed=11)
+    pinned = graph.create_task("pinned", pinned_kernel, device_req=0)
+    host = "boom" if fail else "once" if interrupt else "join"
+    mid = graph.create_task("mid", HostKernel(host), deps=[bell[0], exact])
+    graph.create_task("late", HostKernel("join"), deps=[mid, bell[1]])
+    graph.create_task("side", HostKernel("join"), deps=[bell[2], pinned])
+    return graph
+
+
+def _bell_circuit():
+    return Circuit(2).append(Gate.h(0), Gate.cnot(0, 1), Gate.mz(0, 0), Gate.mz(1, 1))
+
+
+def _mixed_runtime(interrupt=None):
+    runtime = make_runtime(qpu=2, host=1)
+    runtime.register_host_kernel("join", lambda p, d: sorted(d))
+    runtime.register_host_kernel("boom", lambda p, d: 1 / 0)
+
+    def once(p, d):
+        if interrupt:
+            interrupt.pop()
+            raise KeyboardInterrupt
+        return sorted(d)
+
+    runtime.register_host_kernel("once", once)
+    return runtime
+
+
+def _run_outcome(graph, results):
+    """What a run of ``graph`` shows: its results, per-task seeds and trace."""
+    seeds = {
+        t.id: (t.seed, None if t.seed_state is None else t.seed_state.words.tolist())
+        for t in graph.tasks.values()
+    }
+    return results, seeds, list(graph.trace)
+
+
+def _fresh_outcome(seed, policy, fail=False):
+    with _mixed_runtime() as runtime:
+        graph = _mixed_graph(runtime, seed, fail)
+        return _run_outcome(graph, runtime.wait(runtime.submit(graph, policy, sync=True)))
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_an_ended_graph_submitted_again_runs_as_a_fresh_graph(policy, fail):
+    with _mixed_runtime() as runtime:
+        graph = _mixed_graph(runtime, seed=3, fail=fail)
+        first = _run_outcome(graph, runtime.wait(runtime.submit(graph, policy, sync=True)))
+        first_trace = graph.trace
+        graph.seed = 4
+        second = _run_outcome(graph, runtime.wait(runtime.submit(graph, policy, sync=True)))
+        graph.seed = 3  # async this time: a helper runs it
+        third = _run_outcome(graph, runtime.wait(runtime.submit(graph, policy)))
+    assert first == third == _fresh_outcome(3, policy, fail)
+    assert second == _fresh_outcome(4, policy, fail)
+    assert first[1] != second[1]  # the seeds follow graph.seed
+    assert first_trace == first[2]  # an earlier run's trace is left as it was
+    results = second[0]
+    assert {r.device_id for r in results.values()} >= {0, 1, 2}
+    if fail:
+        mid, late = (graph.task_id_by_name(n) for n in ("mid", "late"))
+        assert "ZeroDivisionError" in results[mid].error
+        assert results[late].error == "dependency-failed"
+    else:
+        assert all(r.status is TaskState.COMPLETED for r in results.values())
+
+
+def test_a_graph_a_ctrl_c_ended_runs_again_as_a_fresh_graph():
+    # the first run's "mid" kernel raises KeyboardInterrupt, which fails it and "late"
+    # and ends the sync submit; once wait() has returned, the graph runs again
+    interrupt = [True]
+    with _mixed_runtime(interrupt) as runtime:
+        graph = _mixed_graph(runtime, seed=5, interrupt=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            runtime.submit(graph, "roundrobin", sync=True)
+        interrupted = runtime.wait(graph)
+        mid, late = (graph.task_id_by_name(n) for n in ("mid", "late"))
+        assert interrupted[mid].error == "KeyboardInterrupt: "
+        assert interrupted[late].error == "dependency-failed"
+        again = _run_outcome(graph, runtime.wait(runtime.submit(graph, "roundrobin", sync=True)))
+    assert again == _fresh_outcome(5, "roundrobin")
+
+
+def test_a_graph_in_flight_cannot_be_submitted_again():
+    release = threading.Event()
+    with make_runtime(qpu=0, host=1) as runtime:
+        runtime.register_host_kernel("block", lambda p, d: release.wait(10))
+        graph = runtime.create_graph()
+        tid = graph.create_task("t", HostKernel("block"))
+        runtime.submit(graph)
+        try:
+            with pytest.raises(ValueError, match="graph already submitted"):
+                runtime.submit(graph)
+            with pytest.raises(ValueError, match="graph already submitted"):
+                graph.create_task("u", HostKernel("block"))
+        finally:
+            release.set()
+        assert runtime.wait(graph)[tid].payload is True
+        release.clear()
+        runtime.submit(graph)  # ended: it may run again, with its tasks fixed
+        try:
+            assert runtime.wait(graph, timeout=0.05) == {}  # the last run's result is cleared
+            with pytest.raises(ValueError, match="graph already submitted"):
+                runtime.submit(graph)
+            with pytest.raises(ValueError, match="graph already submitted"):
+                graph.create_task("u", HostKernel("block"))
+        finally:
+            release.set()
+        assert runtime.wait(graph)[tid].payload is True
+        assert len(graph.tasks) == 1 and len(graph.trace) == 2
+
+
+def test_an_ended_graph_is_not_submitted_to_a_runtime_shut_down():
+    runtime = make_runtime(qpu=0, host=1)
+    runtime.register_host_kernel("nop", lambda p, d: None)
+    graph = runtime.create_graph()
+    graph.create_task("t", HostKernel("nop"))
+    results = runtime.wait(runtime.submit(graph, sync=True))
+    runtime.shutdown()
+    with pytest.raises(ValueError, match="runtime is shut down"):
+        runtime.submit(graph)
+    assert runtime.wait(graph) == results  # the ended run is left as it was
+    with make_runtime(qpu=0, host=1) as other:
+        with pytest.raises(ValueError, match="different runtime"):
+            other.submit(graph)

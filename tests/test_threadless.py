@@ -118,11 +118,17 @@ def _no_task_waits_beside_an_idle_device(runtime, graphs):
 
 def _run_threadless(scenario, policy, seed):
     """Submit the graphs in a seeded order, running 0-3 tasks before each
-    submit, then drain; under ``default`` check placement after every step."""
+    submit, then drain; under ``default`` check placement after every step.
+    Returns the graphs, the order and a function that runs them all again."""
     qpu, host, specs = scenario
     runtime = _runtime(qpu, host)
     rng = random.Random(seed)
     graphs = _build(runtime, specs)
+    order = _drive_threadless(runtime, graphs, policy, rng)
+    return graphs, order, lambda: _drive_threadless(runtime, graphs, policy, rng)
+
+
+def _drive_threadless(runtime, graphs, policy, rng):
     order = list(range(len(graphs)))
     rng.shuffle(order)
     submitted = []
@@ -140,7 +146,7 @@ def _run_threadless(scenario, policy, seed):
         check()
     while _step(runtime, rng):
         check()
-    return graphs, order
+    return order
 
 
 def _run_threaded(scenario, policy, order):
@@ -154,12 +160,18 @@ def _run_threaded(scenario, policy, order):
 
 
 def _check_scenario(seed, policy):
+    # the graphs run as the threaded run's fresh ones do; then, once they have
+    # ended, each is submitted again in a new seeded interleaving and still does
     scenario = _scenario(seed)
-    graphs, order = _run_threadless(scenario, policy, seed)
-    for graph in graphs:
-        assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
-        _check_trace(graph)
-    assert _outcome(graphs) == _outcome(_run_threaded(scenario, policy, order))
+    graphs, order, again = _run_threadless(scenario, policy, seed)
+    fresh = _outcome(_run_threaded(scenario, policy, order))
+    for rerun in (False, True):
+        if rerun:
+            again()
+        for graph in graphs:
+            assert all(t.state in TERMINAL_STATES for t in graph.tasks.values())
+            _check_trace(graph)
+        assert _outcome(graphs) == fresh
 
 
 @pytest.mark.parametrize("policy", ["default", "roundrobin"])
@@ -180,7 +192,7 @@ PLACEMENT_SHA256 = {
 def test_placement_bytes(policy):
     digest = hashlib.sha256()
     for seed in range(300):
-        graphs, _ = _run_threadless(_scenario(seed), policy, seed)
+        graphs, _, _ = _run_threadless(_scenario(seed), policy, seed)
         for graph in graphs:
             placed = [(t.state.value, t.result.error, t.result.device_id) for t in graph.tasks.values()]
             digest.update(repr(placed).encode())
