@@ -99,7 +99,7 @@ def _summarize(payload) -> str | None:
     if payload is None:
         return None
     if isinstance(payload, ShotHistogram):
-        body = ",".join(f"{k}:{payload.counts[k]}" for k in sorted(payload.counts))
+        body = ",".join(map("%s:%s".__mod__, sorted(payload.counts.items())))
         return f"counts {body} shots={payload.shots}"
     if isinstance(payload, ProbDist):
         body = ",".join(
@@ -157,14 +157,18 @@ _JSON_GATES = {
 }
 
 
+_STR = frozenset({str})
+_SCALARS = frozenset({str, int, float, bool, type(None)})  # the JSON types that hash
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str):
-    if not obj.keys() <= allowed:
-        key = next(key for key in obj if key not in allowed)
-        raise GraphSpecError(f"unknown field {key!r} in {where}")
+def _unknown_field(obj: dict, allowed: set[str], where: str) -> GraphSpecError:
+    """The error for ``obj``'s first key not in ``allowed``; there must be one."""
+    key = next(key for key in obj if key not in allowed)
+    return GraphSpecError(f"unknown field {key!r} in {where}")
 
 
 def _json_circuit(spec: dict, where: str) -> Circuit:
@@ -206,7 +210,8 @@ def _json_kernel(spec, shots: int, where: str) -> KernelSpec:
         raise GraphSpecError(
             f"kernel in {where} has unknown type {ktype!r}; expected qir, host, or circuit"
         )
-    _reject_unknown(spec, _KERNEL_FIELDS[ktype], f"{where} kernel")
+    if not spec.keys() <= _KERNEL_FIELDS[ktype]:
+        raise _unknown_field(spec, _KERNEL_FIELDS[ktype], f"{where} kernel")
     if ktype == "qir":
         file, source = spec.get("file"), spec.get("source")
         if (file is None) == (source is None):
@@ -265,7 +270,8 @@ def parse_graph_spec(text: str) -> GraphSpec:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise GraphSpecError("graph spec must be a JSON object")
-    _reject_unknown(obj, _TOP_FIELDS, "graph spec")
+    if not obj.keys() <= _TOP_FIELDS:
+        raise _unknown_field(obj, _TOP_FIELDS, "graph spec")
 
     seed = obj.get("seed", 0)
     if not _is_int(seed):
@@ -277,7 +283,8 @@ def parse_graph_spec(text: str) -> GraphSpec:
     devices = obj.get("devices")
     if not isinstance(devices, dict):
         raise GraphSpecError("missing or invalid 'devices' object")
-    _reject_unknown(devices, _DEVICE_FIELDS, "devices")
+    if not devices.keys() <= _DEVICE_FIELDS:
+        raise _unknown_field(devices, _DEVICE_FIELDS, "devices")
     qpu = devices.get("qpu", 0)
     host = devices.get("host", 0)
     for key, count in (("qpu", qpu), ("host", host)):
@@ -290,28 +297,42 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
     names: set[str] = set()
     entries: list[TaskSpecEntry] = []
+    # equal kernel objects of equal shots share one kernel: keyed by their items, then
+    # their values' types, so that 1, 1.0 and true never meet; one holding a list or
+    # an object is built for its task alone
+    kernels: dict[tuple, KernelSpec] = {}
     for i, raw in enumerate(raw_tasks):
-        where = f"task #{i}"
-        if not isinstance(raw, dict):
-            raise GraphSpecError(f"{where} must be an object")
-        _reject_unknown(raw, _TASK_FIELDS, where)
+        # the checks of the JSON types hold for what json.loads gives: no subclasses
+        if type(raw) is not dict:
+            raise GraphSpecError(f"task #{i} must be an object")
+        if not raw.keys() <= _TASK_FIELDS:
+            raise _unknown_field(raw, _TASK_FIELDS, f"task #{i}")
         name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise GraphSpecError(f"{where} needs a non-empty string 'name'")
+        if type(name) is not str or not name:
+            raise GraphSpecError(f"task #{i} needs a non-empty string 'name'")
         if name in names:
             raise GraphSpecError(f"duplicate task name {name!r}")
         names.add(name)
-        where = f"task {name!r}"
         shots = raw.get("shots", 1024)
-        if not _is_int(shots) or not 0 <= shots <= MAX_SHOTS:
-            raise GraphSpecError(f"'shots' in {where} must be an integer in 0..{MAX_SHOTS}")
+        if type(shots) is not int or not 0 <= shots <= MAX_SHOTS:
+            raise GraphSpecError(f"'shots' in task {name!r} must be an integer in 0..{MAX_SHOTS}")
         depends = raw.get("depends", [])
-        if not isinstance(depends, list) or not all(isinstance(d, str) for d in depends):
-            raise GraphSpecError(f"'depends' in {where} must be a list of task names")
+        if type(depends) is not list or not _STR.issuperset(map(type, depends)):
+            raise GraphSpecError(f"'depends' in task {name!r} must be a list of task names")
         device = raw.get("device", ANY)
-        if not (device in (ANY, HOST, QPU) or _is_int(device)):
-            raise GraphSpecError(f"'device' in {where} must be any, qpu, host, or an id")
-        kernel = _json_kernel(raw.get("kernel"), shots, where)
+        if not (device in (ANY, HOST, QPU) or type(device) is int):
+            raise GraphSpecError(f"'device' in task {name!r} must be any, qpu, host, or an id")
+        spec = raw.get("kernel")
+        key = None
+        if type(spec) is dict:
+            types = tuple(map(type, spec.values()))
+            if _SCALARS.issuperset(types):
+                key = (*spec.items(), *types, shots)
+        kernel = kernels.get(key)
+        if kernel is None:
+            kernel = _json_kernel(spec, shots, f"task {name!r}")
+            if key is not None:
+                kernels[key] = kernel
         entries.append(TaskSpecEntry(name, kernel, tuple(depends), device))
 
     return GraphSpec(seed, policy, qpu, host, entries, _creation_order(entries))
@@ -326,13 +347,15 @@ def cmd_graph(args) -> int:
     runtime = make_runtime(qpu=spec.qpu, host=spec.host)
     runtime.register_host_kernel("noop", lambda params, deps: None)
 
+    ids: dict[str, int] = {}
     try:
         graph = runtime.create_graph(seed=seed)
         for name in spec.order:
             entry = by_name[name]
-            deps = [graph.task_id_by_name(d) for d in entry.depends]
-            try:
-                graph.create_task(name, entry.kernel, deps, entry.device)
+            try:  # each dependency was created before its task
+                ids[name] = graph.create_task(
+                    name, entry.kernel, map(ids.__getitem__, entry.depends), entry.device
+                )
             except (QirParseError, QirLoweringError, FileNotFoundError, InputFileError) as exc:
                 raise GraphSpecError(f"qir kernel in task {name!r}: {exc}") from exc
             except (TooManyQubitsError, NonTerminalMeasurementError) as exc:
@@ -342,17 +365,20 @@ def cmd_graph(args) -> int:
         runtime.shutdown()
 
     failed = False
+    lines = []
     for entry in spec.tasks:
-        result = results[graph.task_id_by_name(entry.name)]
-        device = "-" if result.device_id is None else str(result.device_id)
-        print(f"{entry.name} {device} {result.status.value}")
+        result = results[ids[entry.name]]
+        device = "-" if result.device_id is None else result.device_id
+        lines.append(f"{entry.name} {device} {result.status._value_}")
         if result.status is TaskState.FAILED:
             failed = True
-            print(f"  error: {result.error}")
+            lines.append(f"  error: {result.error}")
         else:
             summary = _summarize(result.payload)
             if summary:
-                print(f"  {summary}")
+                lines.append(f"  {summary}")
+    if lines:  # one write; a graph of no tasks prints nothing
+        print("\n".join(lines))
     return 1 if failed else 0
 
 

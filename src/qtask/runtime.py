@@ -143,6 +143,10 @@ _ALLOWED_TRANSITIONS = (
     (TaskState.RUNNING, TaskState.COMPLETED),
     (TaskState.RUNNING, TaskState.FAILED),
 )
+# each state's value -> the states it may move to: a str key hashes in C
+_NEXT_STATES = {
+    old.value: tuple(new for o, new in _ALLOWED_TRANSITIONS if o is old) for old in TaskState
+}
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ class Task:
         self.id = task_id
         self.name = name
         self.kernel = kernel
-        self.deps: frozenset[int] = frozenset(deps)
+        self.deps: frozenset[int] = deps  # built once, by create_task
         self.device_req = device_req
         self.reads = tuple(reads)
         self.writes = tuple(writes)
@@ -212,9 +216,10 @@ class TaskGraph:
         if isinstance(kernel, str):
             kernel = QirKernel(path=kernel) if kernel.endswith(".ll") else HostKernel(kernel)
         if isinstance(kernel, QirKernel):
-            if kernel not in self._kernels:
-                self._kernels[kernel] = lower_qir(kernel)
-            kernel = self._kernels[kernel]
+            lowered = self._kernels.get(kernel)
+            if lowered is None:
+                lowered = self._kernels[kernel] = lower_qir(kernel)
+            kernel = lowered
         if isinstance(kernel, CircuitKernel):
             # a qpu runs statevector only; a circuit grown by append has a new key
             key = kernel.circuit.content_key()
@@ -226,9 +231,9 @@ class TaskGraph:
         if not (device_req in (ANY, HOST, QPU) or isinstance(device_req, int)):
             raise ValueError(f"invalid device requirement {device_req!r}")
         deps = frozenset(deps)
-        for d in deps:
-            if d not in self.tasks:
-                raise ValueError(f"unknown dependency id {d}")
+        if not deps <= self.tasks.keys():
+            unknown = next(d for d in deps if d not in self.tasks)
+            raise ValueError(f"unknown dependency id {unknown}")
         task_id = len(self.tasks)
         self.tasks[task_id] = Task(task_id, name, kernel, deps, device_req, reads, writes)
         self._by_name[name] = task_id
@@ -240,7 +245,7 @@ class TaskGraph:
 
     def done(self) -> bool:
         """Whether every task has completed or failed."""
-        with self._runtime._cond:
+        with self._runtime._lock:
             return self._unfinished == 0
 
     def _record(self, event: str, task: Task, device_id: int | None):
@@ -470,6 +475,7 @@ class Runtime:
     """Coordinator owning devices, host-kernel registry, and DMEM objects."""
 
     def __init__(self):
+        # the runtime lock; both conditions wrap it, so holding it holds them
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._work = threading.Condition(self._lock)  # where idle helpers wait
@@ -492,7 +498,7 @@ class Runtime:
     # -- registries
 
     def register_device(self, backend: DeviceBackend) -> int:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ValueError("runtime is shut down")
             if backend.id in self._devices:
@@ -506,7 +512,7 @@ class Runtime:
         return list(self._devices.values())
 
     def register_host_kernel(self, name: str, fn: Callable) -> None:
-        with self._cond:
+        with self._lock:
             if name in self._host_kernels:
                 raise ValueError(f"host kernel {name!r} already registered")
             self._host_kernels[name] = fn
@@ -533,7 +539,7 @@ class Runtime:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if graph._runtime is not self:
             raise ValueError("graph belongs to a different runtime")
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ValueError("runtime is shut down")
             if graph._order is None:
@@ -587,7 +593,7 @@ class Runtime:
         """
         if graph._runtime is not self:  # its end would never wake this runtime's waiters
             raise ValueError("graph belongs to a different runtime")
-        with self._cond:
+        with self._lock:
             if graph._order is None:
                 raise ValueError("graph not submitted")
             if timeout is None:
@@ -595,7 +601,7 @@ class Runtime:
         if timeout is None:
             self._drive(graph, lend=True)
         deadline = time.monotonic() + (timeout or 0)
-        with self._cond:
+        with self._lock:
             while graph._unfinished:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -611,16 +617,16 @@ class Runtime:
         return MemObject(next(self._mem_count), nbytes)
 
     def dmem_write_host(self, obj: MemObject, data: bytes) -> None:
-        with self._cond:
+        with self._lock:
             obj._write(None, data)
 
     def dmem_read_host(self, obj: MemObject) -> bytes:
-        with self._cond:
+        with self._lock:
             obj._ensure_clean(None)
             return obj._copies[None]
 
     def dmem_free(self, obj: MemObject) -> None:
-        with self._cond:
+        with self._lock:
             obj._check_alive()
             obj._alive = False
 
@@ -630,7 +636,7 @@ class Runtime:
         """Stop the helper threads. Tasks of submitted graphs that have not
         started running fail with ``runtime-shutdown``, so every graph ends and
         every ``wait()`` returns; a task already running finishes normally."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -656,10 +662,10 @@ class Runtime:
         self.shutdown()
         return False
 
-    # -- internals (these run under self._cond unless noted)
+    # -- internals (these run under self._lock unless noted)
 
     def _set_state(self, graph: TaskGraph, task: Task, new: TaskState):
-        if (task.state, new) not in _ALLOWED_TRANSITIONS:
+        if new not in _NEXT_STATES[task.state._value_]:
             raise AssertionError(
                 f"illegal transition {task.state.value} -> {new.value} for {task!r}"
             )
@@ -736,7 +742,7 @@ class Runtime:
     def _finish(self, graph: TaskGraph, task: Task, result: TaskResult):
         self._set_state(graph, task, result.status)
         task.result = result
-        graph._record(result.status.value, task, result.device_id)
+        graph._record(result.status._value_, task, result.device_id)
 
     def _begin(self, device: DeviceBackend, graph: TaskGraph, task: Task):
         # the one start of a task
@@ -780,7 +786,7 @@ class Runtime:
         me = threading.get_ident()
         step = None
         try:
-            with self._cond:
+            with self._lock:
                 while True:
                     step = self._next(graph)
                     if step:
@@ -808,7 +814,7 @@ class Runtime:
                     graph._callers.discard(me)
                     self._help()
             result, raised = self._run(*step)
-            with self._cond:
+            with self._lock:
                 # idle again before _end_run places dependents, so this thread takes them
                 if graph is None:
                     self._idle += 1
@@ -821,7 +827,7 @@ class Runtime:
                 raise raised  # once the task it landed in has failed
             return True
         except BaseException as exc:  # an interrupt outside the kernel leaves no task stuck
-            with self._cond:
+            with self._lock:
                 if step and step[2].state is TaskState.READY and step not in self._queued:
                     self._queued.appendleft(step)  # taken, not yet begun
                 elif step and step[2].state is TaskState.RUNNING:
@@ -850,14 +856,14 @@ class Runtime:
         transfers, error, raised = 0, None, None
         try:
             if task.reads:
-                with self._cond:
+                with self._lock:
                     for obj in task.reads:  # counted as made: a failing read keeps the others
                         transfers += obj._ensure_clean(device.id)
             payload = device.run_kernel(task, graph, self)
             if task.writes:
                 if not isinstance(payload, (bytes, bytearray)):
                     raise RuntimeError("tasks declaring writes must return a bytes payload")
-                with self._cond:
+                with self._lock:
                     for obj in task.writes:
                         obj._write(device.id, payload)
         except BaseException as exc:

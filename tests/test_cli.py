@@ -758,6 +758,68 @@ def test_graph_qir_file_name_too_long_is_usage_error(capsys, tmp_path):
     assert "not found" in line
 
 
+_NOOP = {"type": "host", "name": "noop"}
+_TASK_B = {"name": "b", "kernel": _NOOP, "depends": ["a"]}
+_SHOTS_LINE = f"error: 'shots' in task 'b' must be an integer in 0..{cli.MAX_SHOTS}"
+_DEPENDS_LINE = "error: 'depends' in task 'b' must be a list of task names"
+_DEVICE_LINE = "error: 'device' in task 'b' must be any, qpu, host, or an id"
+_NAME_LINE = "error: task #1 needs a non-empty string 'name'"
+_KERNEL_LINE = "error: kernel in task 'b' must be an object"
+
+
+@pytest.mark.parametrize(
+    "task, line",
+    [
+        (5, "error: task #1 must be an object"),
+        (["b"], "error: task #1 must be an object"),
+        (dict(_TASK_B, gpu=1), "error: unknown field 'gpu' in task #1"),
+        (dict(_TASK_B, gpu=1, name=1), "error: unknown field 'gpu' in task #1"),
+        ({"kernel": _NOOP}, _NAME_LINE),
+        (dict(_TASK_B, name=""), _NAME_LINE),
+        (dict(_TASK_B, name=1), _NAME_LINE),
+        (dict(_TASK_B, name=True), _NAME_LINE),
+        (dict(_TASK_B, name=None), _NAME_LINE),
+        (dict(_TASK_B, name="a"), "error: duplicate task name 'a'"),
+        (dict(_TASK_B, shots=True), _SHOTS_LINE),
+        (dict(_TASK_B, shots=-1), _SHOTS_LINE),
+        (dict(_TASK_B, shots=2**31), _SHOTS_LINE),
+        (dict(_TASK_B, shots=1.0), _SHOTS_LINE),
+        (dict(_TASK_B, shots=-1, depends=None), _SHOTS_LINE),
+        (dict(_TASK_B, depends=None), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=""), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=0), _DEPENDS_LINE),
+        (dict(_TASK_B, depends={}), _DEPENDS_LINE),
+        (dict(_TASK_B, depends="a"), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=[1]), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=[None]), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=["a", None]), _DEPENDS_LINE),
+        (dict(_TASK_B, depends=None, device="gpu"), _DEPENDS_LINE),
+        (dict(_TASK_B, device=True), _DEVICE_LINE),
+        (dict(_TASK_B, device=1.5), _DEVICE_LINE),
+        (dict(_TASK_B, device="gpu"), _DEVICE_LINE),
+        (dict(_TASK_B, device="gpu", kernel=5), _DEVICE_LINE),
+        (dict(_TASK_B, kernel=5), _KERNEL_LINE),
+        (dict(_TASK_B, kernel="noop"), _KERNEL_LINE),
+        (dict(_TASK_B, kernel=[_NOOP]), _KERNEL_LINE),
+        ({"name": "b"}, _KERNEL_LINE),
+        (dict(_TASK_B, kernel={"type": "gpu"}),
+         "error: kernel in task 'b' has unknown type 'gpu'; expected qir, host, or circuit"),
+        (dict(_TASK_B, kernel={"name": "noop"}),
+         "error: kernel in task 'b' has unknown type None; expected qir, host, or circuit"),
+        (dict(_TASK_B, kernel=dict(_NOOP, x=1)), "error: unknown field 'x' in task 'b' kernel"),
+    ],
+)
+def test_graph_task_error_is_one_exact_line(capsys, tmp_path, task, line):
+    # the second task is the bad one, after a good task with the kernel it names
+    # most often; where a task has two faults, the first check named here wins
+    spec = {"devices": {"qpu": 0, "host": 1}, "tasks": [{"name": "a", "kernel": _NOOP}, task]}
+    path = tmp_path / "bad_task.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "graph", str(path))
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == line
+
+
 def test_derived_seeds_accept_a_negative_seed(capsys, tmp_path):
     # graph and ghz-qpd derive every task's seed from --seed, so any integer works
     path = tmp_path / "fanout.json"
